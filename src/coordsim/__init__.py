@@ -25,8 +25,8 @@ from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                      codeword_block, decode_binned, decode_direct,
                      encode_binned, encode_direct, run_binned_trial,
                      run_direct_trial)
-from .region import (CurvePoint, RegionPoint, RegionQuery, SolverOptions,
-                     finite_agent_rate, induced_target, min_achievable_delta,
+from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
+                     induced_target, min_achievable_delta,
                      min_finite_agent_rate, min_per_agent_rate, per_agent_rate,
                      rate_delta_curve)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
@@ -51,7 +51,7 @@ __all__ = [
     "codeword", "codeword_block", "encode_direct", "decode_direct",
     "encode_binned", "decode_binned", "classify_error",
     "run_direct_trial", "run_binned_trial", "case_b_upper_bound",
-    "RegionQuery", "RegionPoint", "CurvePoint", "SolverOptions",
+    "RegionQuery", "RegionPoint", "CurvePoint",
     "finite_agent_rate", "per_agent_rate", "induced_target",
     "min_achievable_delta", "min_per_agent_rate", "min_finite_agent_rate",
     "rate_delta_curve",

@@ -15,7 +15,6 @@ would break replay comparisons.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import sys
@@ -64,7 +63,7 @@ def _aux_for_delta(spec: RunSpec, delta: float, cache: dict) -> CondPmf:
     query = spec.region_query(delta)
     solve = (region_mod.min_finite_agent_rate if spec.scheme_kind == "direct"
              else region_mod.min_per_agent_rate)
-    point = solve(query, spec.solver)
+    point = solve(query)
     cache[delta] = point.q_star
     return point.q_star
 
@@ -97,8 +96,7 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
                         seed=seed,
                         delta=delta,
                         target=spec.target_joint(),
-                        search_budget=spec.budget,
-                        decoder_limits=spec.decoder_limits())
+                        search_budget=spec.budget)
                     stats = run_experiment(cfg, workers=workers)
                     lines.append(_simulate_row(n, L, spec, scheme, delta, seed,
                                                stats, timings))
@@ -130,8 +128,7 @@ def _simulate_row(n: int, L: int, spec: RunSpec, scheme, delta: float,
     return ",".join(fields)
 
 
-def cmd_region(spec_path: str, out_path: str,
-               seed_override: int | None = None) -> int:
+def cmd_region(spec_path: str, out_path: str) -> int:
     """Evaluate the fidelity floor and both rate curves over the spec's grid."""
     try:
         spec = load_runspec(spec_path)
@@ -141,12 +138,9 @@ def cmd_region(spec_path: str, out_path: str,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 
-    solver = spec.solver
-    if seed_override is not None:
-        solver = dataclasses.replace(solver, seed=int(seed_override))
     query = spec.region_query()
     delta_min, _ = region_mod.min_achievable_delta(query)
-    curve = region_mod.rate_delta_curve(query, spec.region_delta_grid, solver)
+    curve = region_mod.rate_delta_curve(query, spec.region_delta_grid)
 
     lines = [f"# {REGION_CSV_VERSION}",
              f"# delta_min={_fmt(delta_min)}",
@@ -217,7 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     reg = sub.add_parser("region", help="compute the rate/fidelity curves")
     reg.add_argument("--spec", required=True)
     reg.add_argument("--out", required=True)
-    reg.add_argument("--seed-override", type=int, default=None)
 
     ver = sub.add_parser("verify", help="run the bundled acceptance checks")
     ver.add_argument("--spec", default=None)
@@ -229,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_simulate(args.spec, args.out, workers=args.workers,
                             seed_override=args.seed_override, timings=args.timings)
     if args.command == "region":
-        return cmd_region(args.spec, args.out, seed_override=args.seed_override)
+        return cmd_region(args.spec, args.out)
     only = args.only.split(",") if args.only else None
     return cmd_verify(args.spec, only=only)
 

@@ -9,27 +9,34 @@ the chain action - observation - output structurally.  For a query
     per-agent threshold      I(obs; out | action) (every agent pays it)
 
 minimized over all q whose induced action/output joint lies within total
-variation delta of the target joint.  Both objectives are convex in q and
-the constraint set is a polytope (simplex rows intersected with a TV ball),
-so the pipeline is: coarse grid plus restarts, multi-start projected descent
-with boundary bisection, a sequential-linearization stage whose step targets
-come from an exact LP over the feasible polytope (projected moves alone
-stall on the fidelity boundary), and a shrinking direction-set polish.  The
-tolerances below are the documented contract at the small alphabet sizes
-this solver is specified for.
+variation delta of the target joint.  Both objectives are convex in q.
+Lifting the TV ball with slacks s >= |J q - t| (J the linear map from q to
+the induced joint, t the target joint) makes the feasible set a polytope
+over (q, s).  Each minimization runs SLSQP over that polytope from a few
+fixed starts and keeps the best result.  Every solved point carries a
+Frank-Wolfe duality gap (Frank & Wolfe 1956; Jaggi, ICML 2013): by
+convexity,
+
+    rate - optimum  <=  <grad f(q*), q*> - min over the polytope of <grad f(q*), q>,
+
+and the right-hand side is one linear program.  A gap of at most OPTIMUM_TOL
+certifies the documented tolerance on any alphabet.  Both objectives are
+sums over output symbols of convex, positively homogeneous terms, so the
+bound stays valid where q* has zero entries (the gradient floors them at
+1e-18); it can be loose, though, when the optimum leaves an output symbol
+unused.
 
 The unconstrained fidelity floor (the smallest achievable delta) is a plain
-linear program in q and is solved exactly with HiGHS.
+linear program over the same lifted polytope and is solved exactly with HiGHS.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import LinearConstraint, linprog, minimize
 
 from .probkit import CondPmf, Pmf, ZERO_TOL
 
@@ -73,13 +80,16 @@ class RegionQuery:
 @dataclass(frozen=True)
 class RegionPoint:
     """One solved point: optimal rate (nats/symbol), the optimizing channel,
-    the action/output channel it induces, and the fidelity it achieves."""
+    the action/output channel it induces, the fidelity it achieves, and the
+    Frank-Wolfe duality gap certifying rate - optimum <= gap.  An infeasible
+    point carries gap 0.0: the floor LP's verdict is exact."""
 
     rate: float
     q_star: CondPmf
     induced: CondPmf
     achieved_tv: float
     feasible: bool
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -87,20 +97,6 @@ class CurvePoint:
     delta: float
     per_agent: RegionPoint
     finite: RegionPoint
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs of the grid + descent + polish pipeline; defaults match the
-    documented contract (grid step 0.05, >= 20 random restarts)."""
-
-    grid_step: float = 0.05
-    restarts: int = 20
-    seed: int = 0
-    descent_iters: int = 250
-    descent_starts: int = 8
-    polish_rounds: int = 70
-    max_grid_points: int = 4096
 
 
 def _as_channel_array(q, in_size: int, out_size: int) -> np.ndarray:
@@ -189,6 +185,30 @@ def _induced_coeff_matrix(query: RegionQuery) -> np.ndarray:
     return coeff
 
 
+def _lifted_polytope(query: RegionQuery, radius: float | None = None) -> dict:
+    """Feasible set over x = (q, s) as linprog keyword arguments.
+
+    q is the flattened channel, whose rows sum to one; s >= |J q - t| holds
+    cell by cell, so TV(q) <= sum(s) / 2.  Given a radius, sum(s) <= 2 radius
+    keeps TV(q) within it.
+    """
+    a_size, b_size = query.obs_size, query.out_size
+    n_q = a_size * b_size
+    n_s = query.p0.size * b_size
+    target = query.target_joint.reshape(-1)
+    coeff = _induced_coeff_matrix(query)
+
+    a_ub = np.block([[coeff, -np.eye(n_s)], [-coeff, -np.eye(n_s)]])
+    b_ub = np.concatenate([target, -target])
+    if radius is not None:
+        a_ub = np.vstack([a_ub, np.concatenate([np.zeros(n_q), np.ones(n_s)])])
+        b_ub = np.append(b_ub, 2.0 * radius)
+    a_eq = np.hstack([np.kron(np.eye(a_size), np.ones((1, b_size))),
+                      np.zeros((a_size, n_s))])
+    return {"A_ub": a_ub, "b_ub": b_ub, "A_eq": a_eq, "b_eq": np.ones(a_size),
+            "bounds": [(0.0, 1.0)] * n_q + [(0.0, None)] * n_s}
+
+
 def min_achievable_delta(query: RegionQuery) -> tuple[float, CondPmf]:
     """Smallest total variation to the target joint over all channels q.
 
@@ -197,77 +217,15 @@ def min_achievable_delta(query: RegionQuery) -> tuple[float, CondPmf]:
     channel.
     """
     a_size, b_size = query.obs_size, query.out_size
-    sx = query.p0.size
     n_q = a_size * b_size
-    n_s = sx * b_size
-    target = query.target_joint.reshape(-1)
-
-    # TV(q) = 0.5 * sum_s s_xy with s_xy >= |J q - t|_xy, J linear in q
-    coeff = _induced_coeff_matrix(query)
-
+    n_s = query.p0.size * b_size
     c = np.concatenate([np.zeros(n_q), 0.5 * np.ones(n_s)])
-    a_ub = np.block([[coeff, -np.eye(n_s)], [-coeff, -np.eye(n_s)]])
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.zeros((a_size, n_q + n_s))
-    for a in range(a_size):
-        a_eq[a, a * b_size:(a + 1) * b_size] = 1.0
-    b_eq = np.ones(a_size)
-    bounds = [(0.0, 1.0)] * n_q + [(0.0, None)] * n_s
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    res = linprog(c, method="highs", **_lifted_polytope(query))
     if not res.success:
         raise RuntimeError(f"fidelity-floor LP failed: {res.message}")
     q_arr = np.clip(res.x[:n_q].reshape(a_size, b_size), 0.0, None)
     q_arr /= q_arr.sum(axis=1, keepdims=True)
     return _tv_to_target(q_arr, query), CondPmf(q_arr)
-
-
-def _simplex_lattice(dim: int, step: float) -> np.ndarray:
-    k = max(int(round(1.0 / step)), 1)
-    points = [np.array(c, dtype=np.float64) / k
-              for c in itertools.product(range(k + 1), repeat=dim)
-              if sum(c) == k]
-    return np.array(points)
-
-
-def _project_row_simplex(v: np.ndarray) -> np.ndarray:
-    # Euclidean projection of each row onto the probability simplex
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ind = np.arange(1, v.shape[1] + 1)
-    cond = u - css / ind > 0
-    rho = cond.sum(axis=1)
-    theta = css[np.arange(v.shape[0]), rho - 1] / rho
-    return np.maximum(v - theta[:, None], 0.0)
-
-
-def _starts(query: RegionQuery, options: SolverOptions, q_tv: np.ndarray) -> np.ndarray:
-    a_size, b_size = query.obs_size, query.out_size
-    generator = np.random.default_rng(options.seed)
-    collected = [q_tv]
-    collected.append(np.full((a_size, b_size), 1.0 / b_size))
-    if a_size == b_size:
-        collected.append(np.eye(a_size))
-    for b in range(b_size):
-        const = np.zeros((a_size, b_size))
-        const[:, b] = 1.0
-        collected.append(const)
-
-    lattice = _simplex_lattice(b_size, options.grid_step)
-    total = lattice.shape[0] ** a_size
-    if total <= options.max_grid_points:
-        for combo in itertools.product(range(lattice.shape[0]), repeat=a_size):
-            collected.append(lattice[list(combo)])
-    else:
-        picks = generator.integers(0, lattice.shape[0],
-                                   size=(options.max_grid_points, a_size))
-        for combo in picks:
-            collected.append(lattice[combo])
-
-    for _ in range(max(options.restarts, 20)):
-        collected.append(generator.dirichlet(np.ones(b_size), size=a_size))
-    return np.array(collected)
 
 
 def _toward_feasible(anchor: np.ndarray, cand: np.ndarray, radius: float,
@@ -306,164 +264,46 @@ def _objective_batch(kind: str, q_batch: np.ndarray, query: RegionQuery) -> np.n
     return _cmi_batch(q_batch, query)
 
 
-def _descend(kind: str, q_arr: np.ndarray, value: float, radius: float,
-             query: RegionQuery, options: SolverOptions) -> tuple[np.ndarray, float]:
-    step = 0.5
-    for _ in range(options.descent_iters):
-        grad = _gradient(kind, q_arr, query)
-        trial_step = step
-        improved = False
-        for _ in range(40):
-            cand = _project_row_simplex(q_arr - trial_step * grad)
-            cand = _toward_feasible(q_arr, cand, radius, query)
-            cand_value = float(_objective_batch(kind, cand[None], query)[0])
-            if cand_value < value - 1e-15:
-                q_arr, value = cand, cand_value
-                step = min(trial_step * 2.0, 4.0)
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            break
-    return q_arr, value
+def _slsqp(kind: str, q0: np.ndarray, polytope: dict,
+           query: RegionQuery) -> np.ndarray:
+    """SLSQP over the lifted polytope from q0; returns the channel part,
+    clipped and row-normalized."""
+    shape = q0.shape
+    n_q = q0.size
+    s0 = np.abs(_induced_joint(q0, query) - query.target_joint).reshape(-1)
+
+    def objective(x):
+        return float(_objective_batch(kind, x[:n_q].reshape(shape)[None], query)[0])
+
+    def jacobian(x):
+        grad = np.zeros_like(x)
+        grad[:n_q] = _gradient(kind, x[:n_q].reshape(shape), query).reshape(-1)
+        return grad
+
+    constraints = [
+        LinearConstraint(polytope["A_ub"], -np.inf, polytope["b_ub"]),
+        LinearConstraint(polytope["A_eq"], polytope["b_eq"], polytope["b_eq"]),
+    ]
+    res = minimize(objective, np.concatenate([q0.reshape(-1), s0]), jac=jacobian,
+                   method="SLSQP", bounds=polytope["bounds"], constraints=constraints,
+                   options={"maxiter": 500, "ftol": 1e-14})
+    q_arr = np.clip(res.x[:n_q].reshape(shape), 0.0, None)
+    return q_arr / q_arr.sum(axis=1, keepdims=True)
 
 
-def _lp_direction(grad: np.ndarray, q_arr: np.ndarray, delta: float,
-                  trust: float, query: RegionQuery) -> np.ndarray | None:
-    """Minimize the linearized objective over the exact feasible polytope
-    (simplex rows, fidelity ball, box trust region around the iterate)."""
-    a_size, b_size = q_arr.shape
-    sx = query.p0.size
-    n_q = a_size * b_size
-    n_s = sx * b_size
-    target = query.target_joint.reshape(-1)
-    coeff = _induced_coeff_matrix(query)
-
-    c = np.concatenate([grad.reshape(-1), np.zeros(n_s)])
-    a_ub = np.vstack([
-        np.block([[coeff, -np.eye(n_s)], [-coeff, -np.eye(n_s)]]),
-        np.concatenate([np.zeros(n_q), np.ones(n_s)])[None, :],
-    ])
-    b_ub = np.concatenate([target, -target, [2.0 * delta]])
-    a_eq = np.zeros((a_size, n_q + n_s))
-    for a in range(a_size):
-        a_eq[a, a * b_size:(a + 1) * b_size] = 1.0
-    b_eq = np.ones(a_size)
-    flat_q = q_arr.reshape(-1)
-    bounds = [(max(0.0, flat_q[i] - trust), min(1.0, flat_q[i] + trust))
-              for i in range(n_q)] + [(0.0, None)] * n_s
-
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+def _duality_gap(kind: str, q_arr: np.ndarray, polytope: dict,
+                 query: RegionQuery) -> float:
+    """Frank-Wolfe gap <g, q> - min over the polytope of <g, q'>, g the
+    objective's gradient at q; by convexity it bounds f(q) - min f."""
+    grad = _gradient(kind, q_arr, query).reshape(-1)
+    c = np.concatenate([grad, np.zeros(len(polytope["bounds"]) - grad.size)])
+    res = linprog(c, method="highs", **polytope)
     if not res.success:
-        return None
-    return np.clip(res.x[:n_q].reshape(a_size, b_size), 0.0, None)
+        raise RuntimeError(f"duality-gap LP failed: {res.message}")
+    return max(0.0, float(grad @ q_arr.reshape(-1)) - float(res.fun))
 
 
-def _segment_min(kind: str, q_arr: np.ndarray, target_pt: np.ndarray,
-                 query: RegionQuery) -> tuple[np.ndarray, float]:
-    """Ternary search of the convex objective along [q, target_pt]."""
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(40):
-        m1 = lo_t + (hi_t - lo_t) / 3.0
-        m2 = hi_t - (hi_t - lo_t) / 3.0
-        pts = np.stack([q_arr + m1 * (target_pt - q_arr),
-                        q_arr + m2 * (target_pt - q_arr)])
-        f1, f2 = _objective_batch(kind, pts, query)
-        if f1 <= f2:
-            hi_t = m2
-        else:
-            lo_t = m1
-    best_t = 0.5 * (lo_t + hi_t)
-    point = q_arr + best_t * (target_pt - q_arr)
-    return point, float(_objective_batch(kind, point[None], query)[0])
-
-
-def _lp_refine(kind: str, q_arr: np.ndarray, value: float, delta: float,
-               query: RegionQuery) -> tuple[np.ndarray, float]:
-    """Sequential linearized refinement: an exact-LP step target handles the
-    fidelity boundary (where projected moves stall) and the trust region
-    shrinks until the linear model certifies local optimality."""
-    trust = 0.25
-    for _ in range(80):
-        grad = _gradient(kind, q_arr, query)
-        step_target = _lp_direction(grad, q_arr, delta, trust, query)
-        if step_target is None:
-            break
-        gap = float(np.sum(grad * (step_target - q_arr)))
-        if gap >= -1e-10:
-            trust *= 0.25
-            if trust < 1e-6:
-                break
-            continue
-        cand, cand_value = _segment_min(kind, q_arr, step_target, query)
-        if cand_value < value - 1e-14:
-            q_arr, value = cand, cand_value
-        else:
-            trust *= 0.25
-            if trust < 1e-6:
-                break
-    return q_arr, value
-
-
-_PAIR_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-def _polish_directions(a_size: int, b_size: int) -> np.ndarray:
-    """Single within-row mass moves plus ratio'd combinations of two moves.
-
-    The combinations matter: at a fidelity-boundary optimum the improving
-    feasible directions hug the boundary tangent, whose slope between any
-    two coordinates is arbitrary, so equal-weight pairs alone stall.
-    """
-    basics = []
-    for a in range(a_size):
-        for b1 in range(b_size):
-            for b2 in range(b_size):
-                if b1 == b2:
-                    continue
-                d = np.zeros((a_size, b_size))
-                d[a, b1] -= 1.0
-                d[a, b2] += 1.0
-                basics.append(d)
-    dirs = list(basics)
-    for i in range(len(basics)):
-        for j in range(i + 1, len(basics)):
-            for ratio in _PAIR_RATIOS:
-                dirs.append(basics[i] + ratio * basics[j])
-    return np.array(dirs)
-
-
-def _polish(kind: str, q_arr: np.ndarray, value: float, radius: float,
-            query: RegionQuery, options: SolverOptions) -> tuple[np.ndarray, float]:
-    """Shrinking direction-set search; ratio'd paired directions let the
-    iterate slide along the fidelity boundary where single moves stall."""
-    dirs = _polish_directions(*q_arr.shape)
-    h = max(options.grid_step / 2.0, 1e-3)
-    for _ in range(options.polish_rounds):
-        cands = q_arr[None, :, :] + h * dirs
-        valid = np.all(cands >= -1e-15, axis=(1, 2))
-        if valid.any():
-            cands = np.clip(cands[valid], 0.0, None)
-            cands /= cands.sum(axis=2, keepdims=True)
-            joints = query.p0.probs[None, :, None] * np.einsum(
-                "xa,mab->mxb", query.obs_channel.rows, cands)
-            tvs = 0.5 * np.abs(joints - query.target_joint[None]).sum(axis=(1, 2))
-            feasible = tvs <= radius
-            if feasible.any():
-                values = _objective_batch(kind, cands[feasible], query)
-                best = int(np.argmin(values))
-                if values[best] < value - 1e-15:
-                    q_arr = cands[feasible][best]
-                    value = float(values[best])
-                    continue
-        h *= 0.5
-        if h < 1e-8:
-            break
-    return q_arr, value
-
-
-def _solve(kind: str, query: RegionQuery, options: SolverOptions,
+def _solve(kind: str, query: RegionQuery,
            extra_starts: list[np.ndarray] | None = None) -> RegionPoint:
     if query.delta is None:
         raise ValueError("query.delta is required for rate minimization")
@@ -472,53 +312,50 @@ def _solve(kind: str, query: RegionQuery, options: SolverOptions,
     if delta_min > delta + FEASIBILITY_SLACK:
         return RegionPoint(rate=math.inf, q_star=q_tv,
                            induced=induced_target(q_tv, query),
-                           achieved_tv=delta_min, feasible=False)
+                           achieved_tv=delta_min, feasible=False, gap=0.0)
 
     radius = delta + FEASIBILITY_SLACK
+    a_size, b_size = query.obs_size, query.out_size
+    starts = [q_tv.rows, np.full((a_size, b_size), 1.0 / b_size)]
+    for b in range(b_size):
+        const = np.zeros((a_size, b_size))
+        const[:, b] = 1.0
+        starts.append(const)
+    starts.extend(extra_starts or ())
 
-    starts = _starts(query, options, q_tv.rows)
-    if extra_starts:
-        starts = np.concatenate([starts, np.array(extra_starts)])
-    repaired = np.array([_toward_feasible(q_tv.rows, s, radius, query)
-                         for s in starts])
-    values = _objective_batch(kind, repaired, query)
-    order = np.argsort(values, kind="stable")[:max(options.descent_starts, 1)]
-
-    best_q, best_value = repaired[order[0]], float(values[order[0]])
-    for idx in order:
-        q_arr, value = _descend(kind, repaired[idx], float(values[idx]),
-                                radius, query, options)
-        if value < best_value:
-            best_q, best_value = q_arr, value
-
-    best_q, best_value = _lp_refine(kind, best_q, best_value, delta, query)
-    best_q, best_value = _polish(kind, best_q, best_value, radius,
-                                 query, options)
-
-    rate = float(_objective_batch(kind, best_q[None], query)[0])
-    q_star = CondPmf(best_q)
-    return RegionPoint(rate=rate, q_star=q_star,
+    # The repaired starts stay candidates: an exactly feasible start (a
+    # constant channel, a warm start from a smaller radius) is never lost to
+    # SLSQP round-off.  SLSQP solves within delta itself, leaving the slack
+    # as margin for its own constraint tolerance.
+    repaired = [_toward_feasible(q_tv.rows, start, radius, query) for start in starts]
+    polytope = _lifted_polytope(query, delta)
+    solved = [_toward_feasible(q_tv.rows, _slsqp(kind, q0, polytope, query), radius, query)
+              for q0 in repaired]
+    candidates = np.array(repaired + solved)
+    values = _objective_batch(kind, candidates, query)
+    best = int(np.argmin(values))
+    q_star = CondPmf(candidates[best])
+    return RegionPoint(rate=float(values[best]), q_star=q_star,
                        induced=induced_target(q_star, query),
-                       achieved_tv=_tv_to_target(best_q, query),
-                       feasible=True)
+                       achieved_tv=_tv_to_target(candidates[best], query),
+                       feasible=True,
+                       gap=_duality_gap(kind, candidates[best],
+                                        _lifted_polytope(query, radius), query))
 
 
 def min_per_agent_rate(query: RegionQuery,
-                       options: SolverOptions = SolverOptions(),
                        extra_starts: list[np.ndarray] | None = None) -> RegionPoint:
     """Minimize I(obs; out | action) over the fidelity ball."""
-    return _solve("per_agent", query, options, extra_starts)
+    return _solve("per_agent", query, extra_starts)
 
 
 def min_finite_agent_rate(query: RegionQuery,
-                          options: SolverOptions = SolverOptions(),
                           extra_starts: list[np.ndarray] | None = None) -> RegionPoint:
     """Minimize I(obs; out) over the fidelity ball."""
-    return _solve("finite", query, options, extra_starts)
+    return _solve("finite", query, extra_starts)
 
 
-def rate_delta_curve(query: RegionQuery, delta_grid,
-                     options: SolverOptions = SolverOptions()) -> list[CurvePoint]:
+def rate_delta_curve(query: RegionQuery, delta_grid) -> list[CurvePoint]:
     """Both minimized rates per fidelity radius, in the given grid order.
 
     Radii are solved in ascending order and each optimum seeds the next
@@ -532,8 +369,8 @@ def rate_delta_curve(query: RegionQuery, delta_grid,
     warm_fin: list[np.ndarray] = []
     for i in ascending:
         q = replace(query, delta=deltas[i])
-        per = min_per_agent_rate(q, options, extra_starts=warm_per or None)
-        fin = min_finite_agent_rate(q, options, extra_starts=warm_fin or None)
+        per = min_per_agent_rate(q, extra_starts=warm_per or None)
+        fin = min_finite_agent_rate(q, extra_starts=warm_fin or None)
         if per.feasible:
             warm_per = [per.q_star.rows]
         if fin.feasible:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import BinnedSchemeConfig, DecoderLimits, DirectSchemeConfig
+from .coding import BinnedSchemeConfig, DirectSchemeConfig
 from .probkit import CondPmf, JointPmf, Pmf, compose_markov
-from .region import RegionQuery, SolverOptions
+from .region import RegionQuery
 from .source import SourceConfig
 
 ROW_SUM_TOL = 1e-9
@@ -86,6 +86,7 @@ _SCHEMA = {
             "properties": {
                 "delta_grid": {"type": "array", "items": {"type": "number", "minimum": 0},
                                "minItems": 1},
+                # accepted so older specs still parse; the solver has no knobs
                 "solver": {
                     "type": "object",
                     "properties": {
@@ -120,7 +121,6 @@ class RunSpec:
     delta_list: tuple[float, ...]
     budget: int | None
     region_delta_grid: tuple[float, ...] | None
-    solver: SolverOptions
 
     def region_query(self, delta: float | None = None) -> RegionQuery:
         return RegionQuery(p0=self.p0, obs_channel=self.obs_channel,
@@ -157,9 +157,6 @@ class RunSpec:
 
     def target_joint(self) -> JointPmf:
         return JointPmf(self.p0.probs[:, None] * self.target.rows)
-
-    def decoder_limits(self) -> DecoderLimits:
-        return DecoderLimits()
 
 
 def _stochastic_matrix(raw, rows: int, cols: int, what: str) -> CondPmf:
@@ -221,11 +218,6 @@ def parse_runspec(document: dict) -> RunSpec:
 
     exp = document["experiment"]
     region = document.get("region")
-    solver_doc = (region or {}).get("solver", {})
-    solver = SolverOptions(
-        grid_step=float(solver_doc.get("grid_step", 0.05)),
-        restarts=int(solver_doc.get("restarts", 20)),
-        seed=int(solver_doc.get("seed", 0)))
 
     return RunSpec(
         x_size=x_size, y_size=y_size, p0=p0, obs_channel=obs, target=target,
@@ -236,8 +228,7 @@ def parse_runspec(document: dict) -> RunSpec:
         trials=int(exp["trials"]), seed=int(exp["seed"]),
         delta_list=tuple(float(d) for d in exp["delta_list"]),
         budget=exp.get("budget"),
-        region_delta_grid=tuple(float(d) for d in region["delta_grid"]) if region else None,
-        solver=solver)
+        region_delta_grid=tuple(float(d) for d in region["delta_grid"]) if region else None)
 
 
 def load_runspec(path: str) -> RunSpec:

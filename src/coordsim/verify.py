@@ -30,7 +30,7 @@ from .harness import ExperimentConfig, run_experiment
 from .probkit import (CondPmf, Pmf, compose_markov,
                       conditional_mutual_information, joint_type,
                       mutual_information, tv_distance)
-from .region import RegionQuery, SolverOptions, min_achievable_delta
+from .region import RegionQuery, min_achievable_delta
 from .source import SourceConfig, draw_actions
 from .typicality import (count_bounds, delta_t, is_strongly_typical,
                          typical_set_size_bound)
@@ -615,12 +615,11 @@ def ac7_region_solver_vs_grid() -> CheckResult:
     non-increasing, and exact zero rate at delta >= 1."""
     start = time.perf_counter()
     issues = []
-    options = SolverOptions(seed=7)
     queries, deltas = _ac7_queries()
     coarse_ticks = np.linspace(0.0, 1.0, 1001)
     for qi, query in enumerate(queries):
         coarse_tables = _binary_grid_tables(query, coarse_ticks, coarse_ticks)
-        curve = region_mod.rate_delta_curve(query, deltas, options)
+        curve = region_mod.rate_delta_curve(query, deltas)
         previous = {"finite": math.inf, "per_agent": math.inf}
         for point in curve:
             grids = {kind: _grid_oracle(query, kind, point.delta,
@@ -645,7 +644,7 @@ def ac7_region_solver_vs_grid() -> CheckResult:
     for query in queries[:3]:
         wide = RegionQuery(query.p0, query.obs_channel, query.target, 1.0)
         for solve in (region_mod.min_finite_agent_rate, region_mod.min_per_agent_rate):
-            point = solve(wide, options)
+            point = solve(wide)
             if point.rate != 0.0:
                 issues.append(f"rate at delta=1 is {point.rate!r}, expected exact 0.0")
 
@@ -672,9 +671,8 @@ def ac8_zero_delta_consistency() -> CheckResult:
     dmin, _ = min_achievable_delta(query)
     if dmin > 1e-9:
         issues.append(f"fidelity floor {dmin:.3e} not ~0 for reachable target")
-    options = SolverOptions(seed=8)
-    fin = region_mod.min_finite_agent_rate(query, options)
-    per = region_mod.min_per_agent_rate(query, options)
+    fin = region_mod.min_finite_agent_rate(query)
+    per = region_mod.min_per_agent_rate(query)
     fin_expected = region_mod.finite_agent_rate(q_true, query)
     per_expected = region_mod.per_agent_rate(q_true, query)
     if abs(fin.rate - fin_expected) > CONSISTENCY_TOL:

@@ -1,8 +1,8 @@
 """End-to-end checks on non-binary and non-square alphabets.
 
 Everything else in the suite is binary; these tests catch shape bugs in the
-generic paths (ternary sources, 3-to-2 channels, the sampled start grid of
-the region solver).
+generic paths (ternary sources, 3-to-2 channels, the region solver on three
+observation rows).
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ from coordsim.harness import ExperimentConfig, run_experiment
 from coordsim.probkit import (CondPmf, Pmf, compose_markov,
                               conditional_mutual_information, entropy,
                               mutual_information)
-from coordsim.region import (RegionQuery, SolverOptions, finite_agent_rate,
+from coordsim.region import (RegionQuery, finite_agent_rate,
                              min_achievable_delta, min_finite_agent_rate,
                              min_per_agent_rate, per_agent_rate)
 from coordsim.source import SourceConfig, draw_actions
@@ -114,34 +114,30 @@ class TestRegion:
         assert q_arg.rows.shape == (3, 2)
         assert per_agent_rate(AUX_32, query) <= finite_agent_rate(AUX_32, query) + 1e-10
 
-    def test_solver_uses_sampled_start_grid(self):
-        # 3 rows x binary outputs: the full 0.05 lattice product (21^3) blows
-        # the start cap, so the sampled branch runs
+    def test_solver_three_rows_binary_output(self):
         target = CondPmf(GEN.dirichlet((2.0, 2.0), size=3))
         query = RegionQuery(p0=P0_3, obs_channel=OBS_3, target=target, delta=0.2)
-        options = SolverOptions(seed=6, descent_starts=4, polish_rounds=40)
         for solve in (min_finite_agent_rate, min_per_agent_rate):
-            point = solve(query, options)
+            point = solve(query)
             assert point.feasible
             assert point.achieved_tv <= 0.2 + 1e-9
             assert point.rate >= 0.0
             # re-solving is deterministic
-            again = solve(query, options)
+            again = solve(query)
             assert again.rate == point.rate
 
     def test_wide_radius_zero_rate(self):
         target = CondPmf(GEN.dirichlet((2.0, 2.0), size=3))
         query = RegionQuery(p0=P0_3, obs_channel=OBS_3, target=target, delta=1.0)
-        assert min_per_agent_rate(query, SolverOptions(seed=6)).rate == 0.0
+        assert min_per_agent_rate(query).rate == 0.0
 
 
 def test_monotone_rate_in_delta_ternary():
     target = CondPmf([[0.95, 0.05], [0.1, 0.9], [0.4, 0.6]])
     query = RegionQuery(p0=P0_3, obs_channel=OBS_3, target=target)
-    options = SolverOptions(seed=9, descent_starts=4, polish_rounds=40)
     from coordsim.region import rate_delta_curve
 
-    curve = rate_delta_curve(query, [0.0, 0.05, 0.15, 0.5], options)
+    curve = rate_delta_curve(query, [0.0, 0.05, 0.15, 0.5])
     for kind in ("per_agent", "finite"):
         rates = [getattr(pt, kind).rate for pt in curve]
         for earlier, later in zip(rates, rates[1:]):

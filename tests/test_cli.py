@@ -6,7 +6,7 @@ import pytest
 from coordsim import cli
 from coordsim import region as region_mod
 from coordsim.probkit import CondPmf, Pmf
-from coordsim.region import RegionQuery, SolverOptions
+from coordsim.region import RegionQuery
 from coordsim.runspec import SpecError, load_runspec, parse_runspec
 
 
@@ -167,9 +167,7 @@ class TestRegionCommand:
         query = RegionQuery(p0=Pmf([0.5, 0.5]),
                             obs_channel=CondPmf(np.array(document["source"]["obs_channel"])),
                             target=CondPmf(np.array(document["target"]["p_y_given_x"])))
-        options = SolverOptions(grid_step=0.05, restarts=20, seed=4)
-        curve = region_mod.rate_delta_curve(query, document["region"]["delta_grid"],
-                                            options)
+        curve = region_mod.rate_delta_curve(query, document["region"]["delta_grid"])
         for line, point in zip(lines[3:], curve):
             fields = line.split(",")
             assert float(fields[0]) == pytest.approx(point.delta)
