@@ -10,13 +10,11 @@ and within a total-variation radius) those schemes achieve.
 
 from .probkit import (Alphabet, CondPmf, JointPmf, JointType, Pmf,
                       compose_markov, conditional_mutual_information, entropy,
-                      in_delta_neighborhood, joint_type, mutual_information,
-                      tv_distance)
-from .typicality import (TypBound, TypicalityParams, conditional_set_size_bound,
-                         count_bounds, delta_t, epsilon_m,
-                         hit_probability_lower_bound, is_conditionally_typical,
+                      joint_type, mutual_information, tv_distance)
+from .typicality import (conditional_set_size_bound, count_bounds, delta_t,
+                         epsilon_m, hit_probability_lower_bound,
                          is_marginally_typical, is_strongly_typical,
-                         markov_lemma_bound, typical_set_size_bound, typ_bounds)
+                         markov_lemma_bound, typical_set_size_bound)
 from .source import ActionDraw, SourceConfig, draw_actions
 from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                      DecoderBudgetExceeded, DecoderLimits, DirectSchemeConfig,
@@ -30,20 +28,19 @@ from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
                      min_finite_agent_rate, min_per_agent_rate, per_agent_rate,
                      rate_delta_curve)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
-                      SweepCell, check_delta_coordination, run_experiment,
-                      sweep)
+                      check_delta_coordination, run_experiment)
 from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "Pmf", "CondPmf", "JointPmf", "JointType",
-    "joint_type", "tv_distance", "in_delta_neighborhood", "entropy",
+    "joint_type", "tv_distance", "entropy",
     "mutual_information", "conditional_mutual_information", "compose_markov",
-    "TypicalityParams", "TypBound", "epsilon_m", "delta_t", "count_bounds",
-    "is_strongly_typical", "is_marginally_typical", "is_conditionally_typical",
+    "epsilon_m", "delta_t", "count_bounds",
+    "is_strongly_typical", "is_marginally_typical",
     "typical_set_size_bound", "conditional_set_size_bound",
-    "hit_probability_lower_bound", "markov_lemma_bound", "typ_bounds",
+    "hit_probability_lower_bound", "markov_lemma_bound",
     "SourceConfig", "ActionDraw", "draw_actions",
     "CodebookSpec", "DirectSchemeConfig", "BinnedSchemeConfig",
     "EncodeResult", "TrialOutcome", "TrialInternals", "ErrorCase",
@@ -55,7 +52,7 @@ __all__ = [
     "finite_agent_rate", "per_agent_rate", "induced_target",
     "min_achievable_delta", "min_per_agent_rate", "min_finite_agent_rate",
     "rate_delta_curve",
-    "ExperimentConfig", "ExperimentStats", "ExperimentAborted", "SweepCell",
-    "run_experiment", "check_delta_coordination", "sweep",
+    "ExperimentConfig", "ExperimentStats", "ExperimentAborted",
+    "run_experiment", "check_delta_coordination",
     "RunSpec", "SpecError", "load_runspec", "parse_runspec",
 ]

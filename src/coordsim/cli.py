@@ -180,6 +180,14 @@ def cmd_verify(spec_path: str | None = None, only: list[str] | None = None) -> i
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SPEC
 
+    if only:
+        unknown = sorted({name.strip().upper() for name in only}
+                         - set(verify.criterion_ids()))
+        if unknown:
+            print(f"error: unknown criterion id(s): {', '.join(unknown)}; "
+                  f"known: {', '.join(verify.criterion_ids())}", file=sys.stderr)
+            return EXIT_SPEC
+
     results = verify.run_all(only=only)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

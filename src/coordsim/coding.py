@@ -167,8 +167,44 @@ def codeword(spec: CodebookSpec, w: int, v: int = 0) -> np.ndarray:
     return codeword_block(spec, np.array([w * spec.words_per_bin + v]))[0]
 
 
+class _SchemeConfig:
+    """Typicality tolerance and design triple (action, observation, output)
+    shared by both schemes, with the marginals their trials read."""
+
+    # each subclass declares these as its last dataclass fields, which keeps
+    # its positional constructor order
+    epsilon: float
+    triple: JointPmf
+
+    def __post_init__(self):
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
+        if self.triple.probs.ndim != 3:
+            raise ValueError("design triple must be 3-dimensional")
+
+    @cached_property
+    def pair_obs_out(self) -> JointPmf:
+        return self.triple.pair_marginal(1, 2)
+
+    @cached_property
+    def pair_src_obs(self) -> JointPmf:
+        return self.triple.pair_marginal(0, 1)
+
+    @cached_property
+    def pair_src_out(self) -> JointPmf:
+        return self.triple.pair_marginal(0, 2)
+
+    @cached_property
+    def p_y(self) -> Pmf:
+        return self.triple.marginal(2)
+
+    @cached_property
+    def p_x(self) -> Pmf:
+        return self.triple.marginal(0)
+
+
 @dataclass(frozen=True)
-class DirectSchemeConfig:
+class DirectSchemeConfig(_SchemeConfig):
     """Per-agent rates and slacks, typicality tolerance, and the design
     triple (action, observation, output) the code is built for."""
 
@@ -184,38 +220,15 @@ class DirectSchemeConfig:
             raise ValueError("need one slack per rate")
         if any(r < 0 for r in self.rates):
             raise ValueError("rates must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.triple.probs.ndim != 3:
-            raise ValueError("design triple must be 3-dimensional")
+        super().__post_init__()
 
     @property
     def num_agents(self) -> int:
         return len(self.rates)
 
-    @cached_property
-    def pair_obs_out(self) -> JointPmf:
-        return self.triple.pair_marginal(1, 2)
-
-    @cached_property
-    def pair_src_obs(self) -> JointPmf:
-        return self.triple.pair_marginal(0, 1)
-
-    @cached_property
-    def pair_src_out(self) -> JointPmf:
-        return self.triple.pair_marginal(0, 2)
-
-    @cached_property
-    def p_y(self) -> Pmf:
-        return self.triple.marginal(2)
-
-    @cached_property
-    def p_x(self) -> Pmf:
-        return self.triple.marginal(0)
-
 
 @dataclass(frozen=True)
-class BinnedSchemeConfig:
+class BinnedSchemeConfig(_SchemeConfig):
     """Common per-agent bin/word rates for the joint-decoding scheme."""
 
     rate_bin: float
@@ -228,30 +241,7 @@ class BinnedSchemeConfig:
     def __post_init__(self):
         if self.rate_bin < 0 or self.rate_word < 0:
             raise ValueError("rates must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.triple.probs.ndim != 3:
-            raise ValueError("design triple must be 3-dimensional")
-
-    @cached_property
-    def pair_obs_out(self) -> JointPmf:
-        return self.triple.pair_marginal(1, 2)
-
-    @cached_property
-    def pair_src_obs(self) -> JointPmf:
-        return self.triple.pair_marginal(0, 1)
-
-    @cached_property
-    def pair_src_out(self) -> JointPmf:
-        return self.triple.pair_marginal(0, 2)
-
-    @cached_property
-    def p_y(self) -> Pmf:
-        return self.triple.marginal(2)
-
-    @cached_property
-    def p_x(self) -> Pmf:
-        return self.triple.marginal(0)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -336,28 +326,37 @@ def classify_error(internals: TrialInternals) -> ErrorCase:
     return ErrorCase.NONE if internals.output_typical else ErrorCase.D
 
 
-def _pair_cell_counts(x_seq: np.ndarray, y_batch: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    """Cell counts of (x, y_k) for every row y_k; shape (batch, sx, sy)."""
-    codes = x_seq[None, :] * sy + y_batch
-    out = np.empty((y_batch.shape[0], sx * sy), dtype=np.int64)
+def _cell_counts(x, y, sx: int, sy: int) -> np.ndarray:
+    """Cell counts of the row pairs (x_k, y_k), with x and y broadcast
+    against each other to a batch of rows; shape (batch, sx, sy)."""
+    codes = x * sy + y
+    out = np.empty((codes.shape[0], sx * sy), dtype=np.int64)
     for cell in range(sx * sy):
         out[:, cell] = (codes == cell).sum(axis=1)
-    return out.reshape(y_batch.shape[0], sx, sy)
+    return out.reshape(codes.shape[0], sx, sy)
 
 
-def _scan_codebook(xhat: np.ndarray, spec: CodebookSpec, pair: JointPmf,
-                   epsilon: float, budget: int | None) -> EncodeResult:
-    """First-hit scan in index order, batched; the result is independent of
-    the batching because hits are resolved to the smallest index."""
+def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
+                  budget: int | None = None) -> EncodeResult:
+    """Scan the agent's codebook in index order ((bin, word) pairs in
+    row-major order) for the first codeword jointly typical with the
+    observation; failure is a modeled outcome.  A binned encoder transmits
+    only the bin number.
+
+    Batched, yet independent of the batching: hits resolve to the smallest
+    index.
+    """
+    xhat = np.asarray(xhat, dtype=np.int64)
+    pair = cfg.pair_obs_out
     sx, sy = pair.shape
-    lo, hi = count_bounds(pair, spec.n, epsilon)
+    lo, hi = count_bounds(pair, spec.n, cfg.epsilon)
     limit = spec.num_codewords if budget is None else min(spec.num_codewords, budget)
     pos = 0
     batch = _SCAN_BATCH_START
     while pos < limit:
         take = min(batch, limit - pos)
         block = codeword_block(spec, np.arange(pos, pos + take, dtype=np.int64))
-        counts = _pair_cell_counts(xhat, block, sx, sy)
+        counts = _cell_counts(xhat, block, sx, sy)
         ok = np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
         hits = np.flatnonzero(ok)
         if hits.size:
@@ -371,12 +370,7 @@ def _scan_codebook(xhat: np.ndarray, spec: CodebookSpec, pair: JointPmf,
                         budget_hit=limit < spec.num_codewords)
 
 
-def encode_direct(xhat, cfg: DirectSchemeConfig, spec: CodebookSpec,
-                  budget: int | None = None) -> EncodeResult:
-    """Scan the agent's codebook in index order for the first codeword
-    jointly typical with the observation; failure is a modeled outcome."""
-    return _scan_codebook(np.asarray(xhat, dtype=np.int64), spec,
-                          cfg.pair_obs_out, cfg.epsilon, budget)
+encode_binned = encode_direct
 
 
 def decode_direct(results, specs) -> np.ndarray:
@@ -386,14 +380,6 @@ def decode_direct(results, specs) -> np.ndarray:
         if res.found:
             return codeword(spec, res.w, res.v if res.v is not None else 0)
     return codeword(specs[0], 0, 0)
-
-
-def encode_binned(xhat, cfg: BinnedSchemeConfig, spec: CodebookSpec,
-                  budget: int | None = None) -> EncodeResult:
-    """Scan (bin, word) pairs in row-major order for the first typical
-    codeword; only the bin number leaves the encoder."""
-    return _scan_codebook(np.asarray(xhat, dtype=np.int64), spec,
-                          cfg.pair_obs_out, cfg.epsilon, budget)
 
 
 def _all_sequences(size: int, n: int) -> np.ndarray:
@@ -434,9 +420,8 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
 
     candidates = _all_sequences(sx, n)
     lo_x, hi_x = count_bounds(cfg.p_x, n, cfg.epsilon)
-    x_counts = np.empty((candidates.shape[0], sx), dtype=np.int64)
-    for a in range(sx):
-        x_counts[:, a] = (candidates == a).sum(axis=1)
+    # x-marginal counts: the cell counts against a one-symbol y alphabet
+    x_counts = _cell_counts(candidates, 0, sx, 1).reshape(-1, sx)
     candidates = candidates[np.all((x_counts >= lo_x) & (x_counts <= hi_x), axis=1)]
 
     search_size = candidates.shape[0] * (words**num_agents)
@@ -454,7 +439,7 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
     for agent in range(num_agents):
         for word in range(words):
             y = codeword(specs[agent], bins[agent], word)
-            per_agent[agent, word] = _candidate_counts(candidates, y, sx, sy)
+            per_agent[agent, word] = _cell_counts(candidates, y, sx, sy)
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
     matches: list[tuple[int, ...]] = []
@@ -472,15 +457,6 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
     return BinnedDecodeResult(matches_found=len(matches), v_tuple=None, y_seq=fallback)
 
 
-def _candidate_counts(x_batch: np.ndarray, y_seq: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    """Cell counts of (x_k, y) for every candidate row x_k."""
-    codes = x_batch * sy + y_seq[None, :]
-    out = np.empty((x_batch.shape[0], sx * sy), dtype=np.int64)
-    for cell in range(sx * sy):
-        out[:, cell] = (codes == cell).sum(axis=1)
-    return out.reshape(x_batch.shape[0], sx, sy)
-
-
 def direct_specs(cfg: DirectSchemeConfig, source_cfg: SourceConfig, seed: int):
     """One codebook per agent for the direct scheme."""
     return tuple(
@@ -496,70 +472,29 @@ def binned_specs(cfg: BinnedSchemeConfig, source_cfg: SourceConfig, seed: int):
         for l in range(source_cfg.L))
 
 
-def _source_pairs_typical(draw, pair_src_obs: JointPmf, eps_prime: float) -> bool:
-    return all(
-        is_strongly_typical(draw.x_seq, draw.xhat_seqs[l], pair_src_obs, eps_prime)
-        for l in range(draw.xhat_seqs.shape[0]))
+def _run_trial(scheme: str, decode, source_cfg: SourceConfig, cfg, specs,
+               seed: int, trial_index: int, budget: int | None,
+               report_target: JointPmf | None) -> TrialOutcome:
+    """Draw, encode at every agent, decode, and label one trial.
 
-
-def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
-                     seed: int, trial_index: int, budget: int | None = None,
-                     report_target: JointPmf | None = None) -> TrialOutcome:
-    """Draw, encode at every agent, decode, and label one direct-scheme trial.
-
-    tv_realized compares the (action, output) joint type against
-    report_target (the coordination target), which defaults to the scheme's
-    own design pair.
+    `decode(results)` is the scheme's decoding step; it returns the emitted
+    sequence and the decoder's match count (None when it does not count).
     """
     draw = draw_actions(source_cfg, seed, trial_index)
     eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
-    pairs_ok = _source_pairs_typical(draw, cfg.pair_src_obs, eps_prime)
+    pairs_ok = all(is_strongly_typical(draw.x_seq, xhat, cfg.pair_src_obs, eps_prime)
+                   for xhat in draw.xhat_seqs)
 
-    results = [encode_direct(draw.xhat_seqs[l], cfg, specs[l], budget)
-               for l in range(cfg.num_agents)]
-    y = decode_direct(results, specs)
+    encode = encode_direct if scheme == "direct" else encode_binned
+    results = [encode(draw.xhat_seqs[l], cfg, spec, budget)
+               for l, spec in enumerate(specs)]
+    y, matches = decode(results)
     output_typical = is_strongly_typical(draw.x_seq, y, cfg.pair_src_out, cfg.epsilon)
 
     case = classify_error(TrialInternals(
-        scheme="direct", num_agents=cfg.num_agents,
+        scheme=scheme, num_agents=len(specs),
         source_pairs_typical=pairs_ok,
         encoders_succeeded=sum(r.found for r in results),
-        output_typical=output_typical))
-
-    target = report_target if report_target is not None else cfg.pair_src_out
-    sx, sy = target.shape
-    tv = tv_distance(joint_type(draw.x_seq, y, sx, sy), target)
-    return TrialOutcome(y_seq=y, error_case=case, tv_realized=tv,
-                        budget_hit=any(r.budget_hit for r in results),
-                        search_cost=sum(r.search_cost for r in results))
-
-
-def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
-                     seed: int, trial_index: int, budget: int | None = None,
-                     limits: DecoderLimits | None = None,
-                     report_target: JointPmf | None = None) -> TrialOutcome:
-    """Draw, encode, jointly decode, and label one binned-scheme trial."""
-    draw = draw_actions(source_cfg, seed, trial_index)
-    eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
-    pairs_ok = _source_pairs_typical(draw, cfg.pair_src_obs, eps_prime)
-
-    results = [encode_binned(draw.xhat_seqs[l], cfg, specs[l], budget)
-               for l in range(source_cfg.L)]
-    succeeded = sum(r.found for r in results)
-
-    matches: int | None = None
-    if succeeded == source_cfg.L:
-        decode = decode_binned([r.w for r in results], cfg, specs, limits)
-        matches = decode.matches_found
-        y = decode.y_seq
-    else:
-        y = codeword(specs[0], 0, 0)
-
-    output_typical = is_strongly_typical(draw.x_seq, y, cfg.pair_src_out, cfg.epsilon)
-    case = classify_error(TrialInternals(
-        scheme="binned", num_agents=source_cfg.L,
-        source_pairs_typical=pairs_ok,
-        encoders_succeeded=succeeded,
         output_typical=output_typical,
         decoder_matches=matches))
 
@@ -569,6 +504,38 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
     return TrialOutcome(y_seq=y, error_case=case, tv_realized=tv,
                         budget_hit=any(r.budget_hit for r in results),
                         search_cost=sum(r.search_cost for r in results))
+
+
+def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
+                     seed: int, trial_index: int, budget: int | None = None,
+                     report_target: JointPmf | None = None) -> TrialOutcome:
+    """One direct-scheme trial.
+
+    tv_realized compares the (action, output) joint type against
+    report_target (the coordination target), which defaults to the scheme's
+    own design pair.
+    """
+    def decode(results):
+        return decode_direct(results, specs), None
+
+    return _run_trial("direct", decode, source_cfg, cfg, specs, seed, trial_index,
+                      budget, report_target)
+
+
+def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
+                     seed: int, trial_index: int, budget: int | None = None,
+                     limits: DecoderLimits | None = None,
+                     report_target: JointPmf | None = None) -> TrialOutcome:
+    """One binned-scheme trial: joint decoding runs only when every agent's
+    encoder succeeded."""
+    def decode(results):
+        if not all(r.found for r in results):
+            return codeword(specs[0], 0, 0), None
+        out = decode_binned([r.w for r in results], cfg, specs, limits)
+        return out.y_seq, out.matches_found
+
+    return _run_trial("binned", decode, source_cfg, cfg, specs, seed, trial_index,
+                      budget, report_target)
 
 
 def case_b_upper_bound(cfg: DirectSchemeConfig, source_cfg: SourceConfig,

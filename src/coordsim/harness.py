@@ -1,15 +1,14 @@
 """Monte Carlo experiment driver.
 
-Runs seeded independent trials of either coding scheme, aggregates the
-realized total-variation distances and error-case counts, and sweeps over
-blocklength / agent count / rates / fidelity grids.  Per-trial randomness is
-counter-derived from (seed, trial index), so results are bit-identical under
-any worker count and sweeps can resume cell by cell.
+Runs seeded independent trials of either coding scheme for one grid cell
+and aggregates the realized total-variation distances and error-case
+counts; `coordsim simulate` walks the spec's grid one cell at a time.
+Per-trial randomness is counter-derived from (seed, trial index), so
+results are bit-identical under any worker count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
@@ -175,73 +174,3 @@ def check_delta_coordination(stats: ExperimentStats, delta: float,
     delta fails.
     """
     return "pass" if stats.mean_tv + confidence_slack * stats.tv_stderr <= delta else "fail"
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid cell of a sweep with its aggregated statistics."""
-
-    n: int
-    L: int
-    rates: tuple[float, ...]
-    delta: float
-    stats: ExperimentStats
-
-    @property
-    def key(self) -> tuple:
-        return (self.n, self.L, self.rates, self.delta)
-
-
-def default_scheme_builder(base_scheme):
-    """Adapt the base scheme to a grid cell: direct rates/slacks broadcast to
-    the cell's agent count; binned rates swapped in place."""
-
-    def build(n: int, L: int, rates: tuple[float, ...], delta: float):
-        if isinstance(base_scheme, DirectSchemeConfig):
-            if len(rates) == 1:
-                rates = rates * L
-            if len(rates) != L:
-                raise ValueError(f"need 1 or {L} rates, got {len(rates)}")
-            slacks = base_scheme.slacks
-            if len(slacks) != L:
-                slacks = (slacks[0],) * L
-            return dataclasses.replace(base_scheme, rates=rates, slacks=slacks)
-        if len(rates) != 2:
-            raise ValueError("binned scheme cells need (bin rate, word rate)")
-        return dataclasses.replace(base_scheme, rate_bin=rates[0], rate_word=rates[1])
-
-    return build
-
-
-def sweep(base: ExperimentConfig, n_list, L_list, delta_list,
-          rates_list=None, workers: int = 1,
-          completed: dict | None = None,
-          scheme_builder=None) -> list[SweepCell]:
-    """Run the full (n, L, rates, delta) grid in a fixed order.
-
-    `completed` maps cell keys to already-computed SweepCells (e.g. parsed
-    from an interrupted run); those cells are reused verbatim, which is safe
-    because every cell is deterministic in (base.seed, cell key).
-    """
-    if rates_list is None:
-        if isinstance(base.scheme, DirectSchemeConfig):
-            rates_list = [base.scheme.rates]
-        else:
-            rates_list = [(base.scheme.rate_bin, base.scheme.rate_word)]
-    rates_list = [tuple(float(r) for r in rates) for rates in rates_list]
-    builder = scheme_builder or default_scheme_builder(base.scheme)
-    completed = completed or {}
-
-    cells = []
-    for n, L, rates, delta in itertools.product(n_list, L_list, rates_list, delta_list):
-        key = (int(n), int(L), rates, float(delta))
-        if key in completed:
-            cells.append(completed[key])
-            continue
-        source = dataclasses.replace(base.source, n=int(n), L=int(L))
-        scheme = builder(int(n), int(L), rates, float(delta))
-        cfg = dataclasses.replace(base, source=source, scheme=scheme, delta=float(delta))
-        stats = run_experiment(cfg, workers=workers)
-        cells.append(SweepCell(n=int(n), L=int(L), rates=rates,
-                               delta=float(delta), stats=stats))
-    return cells

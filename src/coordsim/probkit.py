@@ -248,13 +248,6 @@ def tv_distance(p: ProbsLike, q: ProbsLike) -> float:
     return 0.5 * math.fsum(np.abs((a - b).reshape(-1)))
 
 
-def in_delta_neighborhood(p: ProbsLike, q: ProbsLike, delta: float) -> bool:
-    """Closed-ball membership: TV(p, q) <= delta."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return tv_distance(p, q) <= delta
-
-
 def entropy(p: ProbsLike) -> float:
     """Shannon entropy in nats, with 0 ln 0 == 0."""
     arr = as_probs(p).reshape(-1)

@@ -61,7 +61,17 @@ _SCHEMA = {
             "properties": {
                 "kind": {"enum": ["direct", "binned"]},
                 "rates": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "epsilons": {"type": "object", "required": ["typicality"]},
+                "epsilons": {
+                    "type": "object",
+                    "required": ["typicality"],
+                    "properties": {
+                        "typicality": {"type": "number"},
+                        "slacks": {"type": "array", "items": {"type": "number"}},
+                        "ag": {"type": "number"},
+                        "zero": {"type": "number"},
+                    },
+                    "additionalProperties": False,
+                },
                 "aux_channel": {"type": "array"},
             },
         },
@@ -134,20 +144,12 @@ class RunSpec:
         triple = compose_markov(self.p0, self.obs_channel, aux)
         eps = float(self.epsilons["typicality"])
         if self.scheme_kind == "direct":
-            rates = self.rates
-            if len(rates) == 1:
-                rates = rates * L
-            if len(rates) != L:
-                raise SpecError(f"scheme.rates must have 1 or {L} entries")
+            # parse_runspec admits only 1 or L entries
+            rates = self.rates if len(self.rates) == L else self.rates * L
             slacks = tuple(float(s) for s in self.epsilons.get("slacks", [0.0]))
-            if len(slacks) == 1:
-                slacks = slacks * L
-            if len(slacks) != L:
-                raise SpecError(f"scheme.epsilons.slacks must have 1 or {L} entries")
+            slacks = slacks if len(slacks) == L else slacks * L
             return DirectSchemeConfig(rates=rates, slacks=slacks, epsilon=eps,
                                       triple=triple)
-        if len(self.rates) != 2:
-            raise SpecError("binned scheme.rates must be [bin_rate, word_rate]")
         return BinnedSchemeConfig(
             rate_bin=self.rates[0],
             rate_word=self.rates[1],
@@ -210,13 +212,22 @@ def parse_runspec(document: dict) -> RunSpec:
             epsilons[key] = float(epsilons[key]) * to_nats
     if float(epsilons["typicality"]) <= 0:
         raise SpecError("scheme.epsilons.typicality must be > 0")
+    exp = document["experiment"]
+    if scheme["kind"] == "binned":
+        if len(rates) != 2:
+            raise SpecError("binned scheme.rates must be [bin_rate, word_rate]")
+    else:
+        for field, values in (("scheme.rates", rates),
+                              ("scheme.epsilons.slacks", epsilons.get("slacks", [0.0]))):
+            for L in exp["L_list"]:
+                if len(values) not in (1, L):
+                    raise SpecError(f"{field} must have 1 or {L} entries")
 
     aux = None
     if "aux_channel" in scheme:
         aux = _stochastic_matrix(scheme["aux_channel"], x_size, y_size,
                                  "scheme.aux_channel")
 
-    exp = document["experiment"]
     region = document.get("region")
 
     return RunSpec(

@@ -20,7 +20,6 @@ it is vacuous (and is clamped where a probability is returned).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,43 +28,6 @@ import numpy as np
 from .probkit import ProbsLike, ZERO_TOL, as_probs, entropy, mutual_information
 
 _EXP_OVERFLOW = 700.0
-
-
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Tolerance bookkeeping shared by the coding schemes.
-
-    eps_prime = epsilon / (2 x_size) is the tightened radius used for the
-    source/observation pair; it is always derived, never stored.
-    """
-
-    epsilon: float
-    x_size: int
-    y_size: int
-    w_size: int | None = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.x_size < 1 or self.y_size < 1:
-            raise ValueError("alphabet sizes must be >= 1")
-
-    @property
-    def eps_prime(self) -> float:
-        return self.epsilon / (2 * self.x_size)
-
-
-@dataclass(frozen=True)
-class TypBound:
-    """Evaluated slack quantities at one blocklength."""
-
-    eps_m: float
-    delta_t: float
-    n: int
-
-    def __post_init__(self):
-        if self.eps_m < 0 or self.delta_t < 0:
-            raise ValueError("eps_m and delta_t must be >= 0")
 
 
 def epsilon_m(j: ProbsLike, epsilon: float) -> float:
@@ -169,15 +131,6 @@ def is_marginally_typical(seq, p: ProbsLike, epsilon: float) -> bool:
     return counts_typical(counts, probs, x.size, epsilon)
 
 
-def is_conditionally_typical(y_seq, x_seq, j: ProbsLike, epsilon: float) -> bool:
-    """Membership of y in the conditional typical set given x.
-
-    By definition the conditional set collects exactly the y making the pair
-    jointly typical, so this is the joint test with arguments swapped back.
-    """
-    return is_strongly_typical(x_seq, y_seq, j, epsilon)
-
-
 def _bounded_exp(log_value: float) -> float:
     return math.inf if log_value > _EXP_OVERFLOW else math.exp(log_value)
 
@@ -212,11 +165,3 @@ def hit_probability_lower_bound(j: ProbsLike, n: int, epsilon: float) -> float:
 def markov_lemma_bound(n: int, epsilon: float, sizes) -> float:
     """Predicted success probability 1 - delta_t(n, eps/2, sizes) in [0, 1]."""
     return min(max(1.0 - delta_t(n, epsilon / 2.0, sizes), 0.0), 1.0)
-
-
-def typ_bounds(j: ProbsLike, n: int, epsilon: float) -> TypBound:
-    """Bundle eps_m and delta_t for one law at one blocklength."""
-    probs = as_probs(j)
-    return TypBound(eps_m=epsilon_m(probs, epsilon),
-                    delta_t=delta_t(n, epsilon, probs.shape),
-                    n=n)

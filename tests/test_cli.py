@@ -70,6 +70,23 @@ class TestRunSpecParsing:
         assert scheme.rate_bin == pytest.approx(0.3)
         assert scheme.slack_word == pytest.approx(0.02)
 
+    def test_unknown_epsilons_key_rejected(self):
+        document = base_spec()
+        document["scheme"]["epsilons"] = {"typicality": 0.4, "slack": [0.1]}
+        with pytest.raises(SpecError, match="slack"):
+            parse_runspec(document)
+
+    def test_direct_rates_checked_for_every_agent_count(self):
+        document = base_spec()
+        document["scheme"]["rates"] = [0.3, 0.3]
+        document["experiment"]["L_list"] = [2, 3]
+        with pytest.raises(SpecError, match="scheme.rates must have 1 or 3 entries"):
+            parse_runspec(document)
+        document["scheme"]["rates"] = [0.3]
+        document["scheme"]["epsilons"]["slacks"] = [0.1, 0.1]
+        with pytest.raises(SpecError, match="slacks must have 1 or 3 entries"):
+            parse_runspec(document)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(SpecError):
             load_runspec(str(tmp_path / "missing.json"))
@@ -102,6 +119,22 @@ class TestSimulateCommand:
         document["experiment"]["trials"] = 0
         spec_path = write_spec(tmp_path, document)
         assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+
+    def test_epsilons_typo_exit_2(self, tmp_path):
+        document = base_spec()
+        document["scheme"]["epsilons"] = {"typicality": 0.4, "slack": [0.1]}
+        spec_path = write_spec(tmp_path, document)
+        assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+
+    def test_rates_length_exit_2_before_any_cell_runs(self, tmp_path, monkeypatch):
+        document = base_spec()
+        document["scheme"]["rates"] = [0.3, 0.3]
+        document["experiment"]["L_list"] = [2, 3]
+        spec_path = write_spec(tmp_path, document)
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+        assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+        assert calls == []
 
     def test_decoder_limit_exit_3(self, tmp_path):
         document = base_spec()
@@ -197,6 +230,12 @@ class TestVerifyCommand:
         assert cli.cmd_verify(only=["AC4"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_unknown_criterion_exit_2(self, capsys):
+        assert cli.cmd_verify(only=["AC4", "AC10"]) == 2
+        captured = capsys.readouterr()
+        assert "AC10" in captured.err
+        assert "criteria passed" not in captured.out
+
     def test_spec_validation_still_applies(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -213,6 +252,10 @@ class TestMainEntry:
 
     def test_verify_subcommand(self):
         assert cli.main(["verify", "--only", "AC4"]) == 0
+
+    def test_verify_unknown_only_id(self, capsys):
+        assert cli.main(["verify", "--only", "AC10"]) == 2
+        assert "AC10" in capsys.readouterr().err
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

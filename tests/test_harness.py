@@ -7,7 +7,7 @@ from coordsim.coding import (BinnedSchemeConfig, DecoderLimits,
                              DirectSchemeConfig, ErrorCase)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
                               ExperimentStats, check_delta_coordination,
-                              run_experiment, sweep)
+                              run_experiment)
 from coordsim.probkit import CondPmf, Pmf, compose_markov, mutual_information
 from coordsim.source import SourceConfig
 
@@ -148,42 +148,3 @@ class TestDeltaVerdict:
         verdict = check_delta_coordination(self._stats(0.09, 0.01), 0.1)
         assert verdict == "fail"
         assert check_delta_coordination(self._stats(0.09, 0.001), 0.1) == "pass"
-
-
-class TestSweep:
-    def test_single_cell_matches_run_experiment(self):
-        cfg = direct_config(trials=30)
-        cells = sweep(cfg, n_list=[40], L_list=[1], delta_list=[0.1])
-        assert len(cells) == 1
-        assert strip_timing(cells[0].stats) == strip_timing(run_experiment(cfg))
-
-    def test_grid_cardinality_and_order(self):
-        cfg = direct_config(trials=10)
-        cells = sweep(cfg, n_list=[20, 40], L_list=[1, 2], delta_list=[0.1, 0.3])
-        assert len(cells) == 8
-        assert [c.key[:2] for c in cells][:4] == [(20, 1), (20, 1), (20, 2), (20, 2)]
-
-    def test_rates_broadcast_per_agent_count(self):
-        cfg = direct_config(trials=10)
-        cells = sweep(cfg, n_list=[20], L_list=[3], delta_list=[0.1])
-        assert cells[0].rates == cfg.scheme.rates
-
-    def test_rates_grid(self):
-        cfg = direct_config(trials=10)
-        cells = sweep(cfg, n_list=[20], L_list=[1], delta_list=[0.1],
-                      rates_list=[(0.1,), (0.4,)])
-        assert [c.rates for c in cells] == [(0.1,), (0.4,)]
-        # a bigger codebook can only improve the median fidelity here
-        assert cells[1].stats.q50 <= cells[0].stats.q50 + 0.25
-
-    def test_resume_reproduces_full_run(self):
-        cfg = direct_config(trials=20)
-        full = sweep(cfg, n_list=[20, 30], L_list=[1], delta_list=[0.1])
-        partial = sweep(cfg, n_list=[20], L_list=[1], delta_list=[0.1])
-        completed = {cell.key: cell for cell in partial}
-        resumed = sweep(cfg, n_list=[20, 30], L_list=[1], delta_list=[0.1],
-                        completed=completed)
-        assert [c.key for c in resumed] == [c.key for c in full]
-        for a, b in zip(resumed, full):
-            assert strip_timing(a.stats) == strip_timing(b.stats)
-        assert resumed[0] is partial[0]

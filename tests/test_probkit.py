@@ -5,8 +5,8 @@ import pytest
 
 from coordsim.probkit import (Alphabet, CondPmf, JointPmf, JointType, Pmf,
                               compose_markov, conditional_mutual_information,
-                              entropy, in_delta_neighborhood, joint_type,
-                              mutual_information, tv_distance)
+                              entropy, joint_type, mutual_information,
+                              tv_distance)
 
 LN2 = math.log(2.0)
 
@@ -125,28 +125,6 @@ class TestTotalVariation:
     def test_accepts_joint_type(self):
         jt = joint_type([0, 0, 1, 1], [0, 1, 0, 1], 2, 2)
         assert tv_distance(jt, np.full((2, 2), 0.25)) == 0.0
-
-
-class TestDeltaNeighborhood:
-    def test_zero_radius_identity(self):
-        u = np.full((2, 2), 0.25)
-        assert in_delta_neighborhood(u, u, 0.0)
-
-    def test_disjoint_masses_outside(self):
-        p = np.zeros((2, 2))
-        p[0, 0] = 1.0
-        q = np.zeros((2, 2))
-        q[1, 1] = 1.0
-        assert not in_delta_neighborhood(p, q, 0.999)
-
-    def test_closed_ball_boundary(self):
-        assert in_delta_neighborhood(np.array([[0.7, 0.3]]),
-                                     np.array([[0.5, 0.5]]), 0.2)
-
-    def test_negative_delta_rejected(self):
-        u = np.full((2, 2), 0.25)
-        with pytest.raises(ValueError):
-            in_delta_neighborhood(u, u, -0.1)
 
 
 class TestInformation:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from coordsim.probkit import entropy, mutual_information
-from coordsim.typicality import (TypBound, TypicalityParams,
-                                 conditional_set_size_bound, count_bounds,
+from coordsim.typicality import (conditional_set_size_bound, count_bounds,
                                  delta_t, epsilon_m, hit_probability_lower_bound,
-                                 is_conditionally_typical, is_marginally_typical,
-                                 is_strongly_typical, markov_lemma_bound,
-                                 typ_bounds, typical_set_size_bound)
+                                 is_marginally_typical, is_strongly_typical,
+                                 markov_lemma_bound, typical_set_size_bound)
 
 GENERIC_JOINT = np.array([[0.38, 0.12], [0.17, 0.33]])
 
@@ -27,22 +25,6 @@ def oracle_typical(x, y, probs, eps):
             if not abs(freq - probs[a, b]) < eps / (sx * sy):
                 return False
     return True
-
-
-class TestParams:
-    def test_eps_prime_derived(self):
-        params = TypicalityParams(epsilon=0.3, x_size=2, y_size=2)
-        assert params.eps_prime == pytest.approx(0.075)
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            TypicalityParams(epsilon=0.0, x_size=2, y_size=2)
-
-    def test_typ_bounds_bundle(self):
-        bounds = typ_bounds(GENERIC_JOINT, 100, 0.2)
-        assert isinstance(bounds, TypBound)
-        assert bounds.eps_m == pytest.approx(epsilon_m(GENERIC_JOINT, 0.2))
-        assert bounds.delta_t == pytest.approx(delta_t(100, 0.2, (2, 2)))
 
 
 class TestEpsilonM:
@@ -122,13 +104,6 @@ class TestMembership:
                         assert is_strongly_typical(x, y, GENERIC_JOINT, eps) == \
                             oracle_typical(x, y, GENERIC_JOINT, eps)
 
-    def test_conditional_equals_joint_membership(self):
-        seqs = all_binary_sequences(5)
-        for x in seqs[::3]:
-            for y in seqs[::5]:
-                assert is_conditionally_typical(y, x, GENERIC_JOINT, 0.3) == \
-                    is_strongly_typical(x, y, GENERIC_JOINT, 0.3)
-
     def test_marginally_typical_but_pair_atypical_exists(self):
         # exhaustive search over n=6 pairs for the separating example
         marginal = GENERIC_JOINT.sum(axis=0)
@@ -149,7 +124,7 @@ class TestMembership:
         x = np.zeros(6, dtype=int)
         assert not is_marginally_typical(x, GENERIC_JOINT.sum(axis=1), 0.3)
         for y in all_binary_sequences(6):
-            assert not is_conditionally_typical(y, x, GENERIC_JOINT, 0.3)
+            assert not is_strongly_typical(x, y, GENERIC_JOINT, 0.3)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
