@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath
 import numpy as np
@@ -261,7 +261,14 @@ class EncodeResult:
 
 @dataclass(frozen=True)
 class DecoderLimits:
-    """Hard caps on the exhaustive joint decoder's search."""
+    """Hard caps on the joint decoder's instance size.
+
+    The caps price the exhaustive search over (action sequence, word tuple)
+    pairs even though decode_binned no longer enumerates either:
+    max_enumeration bounds |X|^n, and max_candidates bounds the number of
+    x-marginally typical action sequences times words^L.  An instance past
+    any cap raises DecoderBudgetExceeded.
+    """
 
     max_n: int = 12
     max_agents: int = 4
@@ -382,24 +389,126 @@ def decode_direct(results, specs) -> np.ndarray:
     return codeword(specs[0], 0, 0)
 
 
-def _all_sequences(size: int, n: int) -> np.ndarray:
-    grids = np.indices((size,) * n, dtype=np.int64)
-    return grids.reshape(n, -1).T
+@lru_cache(maxsize=256)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of `parts` nonnegative integers summing to `total`, in
+    lexicographic order; shape (count, parts), read-only."""
+    heads = [h for h in itertools.product(range(total + 1), repeat=parts - 1)
+             if sum(h) <= total]
+    out = np.array([h + (total - sum(h),) for h in heads], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def _first_unique(rows, radices) -> np.ndarray:
+    """Indices of the first occurrence of each distinct column of the
+    nonnegative integer rows (equal-length 1-d arrays), row f staying below
+    radices[f].
+
+    Rows are packed mixed-radix into as few int64 keys as hold them, so the
+    packing cannot overflow however many rows there are.
+    """
+    keys, key, span = [], np.int64(0), 1
+    for row, radix in zip(rows, radices):
+        if span * radix > 2**62:
+            keys.append(key)
+            key, span = np.int64(0), 1
+        key = key * radix + row
+        span *= radix
+    keys.append(key)
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(order.size, dtype=bool)
+    first[0] = True
+    for k in keys:
+        ranked = k[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return order[first]
+
+
+def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
+    """Which column-class histograms admit an action assignment that puts
+    the stacked count table inside [lo, hi] and its row sums inside
+    [row_lo, row_hi].
+
+    hists[h, j] positions carry the column class classes[j] (per output
+    symbol, how many agents emit it).  Giving m[j, a] of those positions
+    action a adds m[j, a] * classes[j] to row a of the table and
+    m[j, a] * L to its row sum.  A dynamic program over all classes but the
+    last carries every reachable (histogram, table) state, drops states
+    already above a bound (counts only grow) and merges duplicates.  For the
+    last class each bound confines one m[a] to an interval, so a state is
+    feasible iff those intervals admit the class's count as a sum.  The
+    rarest classes go first, which keeps the state count small and leaves
+    the most common class to the closed-form step.
+    """
+    sx, sy = lo.shape
+    order = np.argsort(hists.sum(axis=0), kind="stable")
+    hists, classes = hists[:, order], classes[order]
+    # a state is one column of an (sx, sy + 1) table: row a holds the
+    # stacked counts of action a, then their sum; coef[j] is what one
+    # position of class j adds to the row of the action it receives
+    coef = np.column_stack([classes, classes.sum(axis=1)])
+    owner = np.arange(hists.shape[0])
+    # entries stay below 2nL: a bound (at most nL) plus one step (at most nL)
+    n_l = int(hists[0].sum()) * int(coef[0, -1])
+    dtype = np.int16 if 2 * n_l < 2**15 else np.int64
+    states = np.zeros((sx, sy + 1, owner.size), dtype=dtype)
+    low = np.column_stack([lo, row_lo]).astype(dtype)[:, :, None]
+    high = np.column_stack([hi, row_hi]).astype(dtype)[:, :, None]
+    # the row sums follow from the counts, so only the counts enter the key
+    radices = [owner.size] + [int(h) + 1 for h in hi.reshape(-1)]
+    for j in range(coef.shape[0] - 1):
+        need = hists[owner, j]
+        grown_owner, grown = [], []
+        for t in np.unique(need):
+            rows = np.flatnonzero(need == t)
+            split = _compositions(int(t), sx)
+            step = (split.T[:, None, :] * coef[j][None, :, None]).astype(dtype)
+            grown.append((states[:, :, rows, None] + step[:, :, None, :]).reshape(sx, sy + 1, -1))
+            grown_owner.append(np.repeat(owner[rows], split.shape[0]))
+        states, owner = np.concatenate(grown, axis=2), np.concatenate(grown_owner)
+        keep = np.flatnonzero(np.all(states <= high, axis=(0, 1)))
+        if not keep.size:
+            return np.zeros(hists.shape[0], dtype=bool)
+        keep = keep[_first_unique([owner[keep], *states[:, :sy, keep].reshape(sx * sy, -1)],
+                                  radices)]
+        states, owner = states[:, :, keep], owner[keep]
+
+    # the last class: m[a] * coef must fit between the state and the bounds
+    total = hists[owner, -1]
+    moving = coef[-1] > 0
+    fixed = states[:, ~moving]
+    ok = np.all((fixed >= low[:, ~moving]) & (fixed <= high[:, ~moving]), axis=(0, 1))
+    free, step = states[:, moving], coef[-1][moving].astype(dtype)[None, :, None]
+    m_lo = np.maximum(-((free - low[:, moving]) // step).min(axis=1), 0)
+    m_hi = np.minimum(((high[:, moving] - free) // step).min(axis=1), total)
+    ok &= (np.all(m_lo <= m_hi, axis=0) & (m_lo.sum(axis=0, dtype=np.int64) <= total)
+           & (m_hi.sum(axis=0) >= total))
+    feasible = np.zeros(hists.shape[0], dtype=bool)
+    feasible[owner[ok]] = True
+    return feasible
 
 
 def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
                   limits: DecoderLimits | None = None) -> BinnedDecodeResult:
     """Joint decoding from the received bin numbers.
 
-    Searches every word tuple (one word per agent's bin) together with every
-    candidate action sequence for stacked length-nL joint typicality.  The
-    tuple must be unique; the witnessing action sequence need not be.  The
-    candidate actions are pre-filtered to those marginally typical for the
-    design action law, which is lossless because stacked joint typicality
-    implies that marginal typicality.
+    Finds every word tuple (one word per agent's bin) for which some action
+    sequence makes the stacked length-nL pair jointly typical and marginally
+    typical for the design action law; the tuple must be unique, the
+    witnessing action sequence need not be.  (Stacked joint typicality
+    implies that marginal typicality, so the second test only repeats the
+    first in exact arithmetic.)
 
-    Raises DecoderBudgetExceeded when the exhaustive search would exceed the
-    configured caps.
+    No action sequence is enumerated: the stacked counts depend on the
+    sequence only through how many positions of each column class (how many
+    agents emit each output symbol there) receive each action, so a tuple
+    is decided by its class histogram, and one dynamic program decides all
+    histograms at once (see _feasible_histograms).
+
+    Raises DecoderBudgetExceeded when the instance exceeds the configured
+    caps, which still price the search as the exhaustive one it replaces.
     """
     limits = limits or DecoderLimits()
     bins = [int(w) for w in bin_indices]
@@ -418,43 +527,49 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
         raise DecoderBudgetExceeded(
             f"action enumeration {sx}^{n} exceeds cap {limits.max_enumeration}")
 
-    candidates = _all_sequences(sx, n)
+    # the number of x-marginally typical sequences, summed over their types
     lo_x, hi_x = count_bounds(cfg.p_x, n, cfg.epsilon)
-    # x-marginal counts: the cell counts against a one-symbol y alphabet
-    x_counts = _cell_counts(candidates, 0, sx, 1).reshape(-1, sx)
-    candidates = candidates[np.all((x_counts >= lo_x) & (x_counts <= hi_x), axis=1)]
-
-    search_size = candidates.shape[0] * (words**num_agents)
+    x_types = _compositions(n, sx)
+    x_types = x_types[np.all((x_types >= lo_x) & (x_types <= hi_x), axis=1)]
+    typical_x = sum(math.factorial(n) // math.prod(math.factorial(int(c)) for c in t)
+                    for t in x_types)
+    search_size = typical_x * words**num_agents
     if search_size > limits.max_candidates:
         raise DecoderBudgetExceeded(
             f"search over {search_size} (action, word-tuple) pairs exceeds cap "
             f"{limits.max_candidates}")
 
     fallback = codeword(specs[0], bins[0], 0)
-    if candidates.shape[0] == 0:
+    if typical_x == 0:
         return BinnedDecodeResult(matches_found=0, v_tuple=None, y_seq=fallback)
 
-    # per-(agent, word) cell counts against every candidate action sequence
-    per_agent = np.empty((num_agents, words, candidates.shape[0], sx, sy), dtype=np.int64)
-    for agent in range(num_agents):
-        for word in range(words):
-            y = codeword(specs[agent], bins[agent], word)
-            per_agent[agent, word] = _cell_counts(candidates, y, sx, sy)
+    # the column class of every (word tuple, position), one agent at a time:
+    # a class is a count vector over output symbols, and an agent emitting
+    # symbol b moves each class to the one with count b raised; word tuples
+    # run in lexicographic order, agent 0 slowest
+    classes = np.zeros((1, sy), dtype=np.int64)
+    column_class = np.zeros((1, n), dtype=np.int64)
+    for spec, w in zip(specs, bins):
+        book = codeword_block(spec, w * words + np.arange(words, dtype=np.int64))
+        classes, moved = np.unique((classes[:, None] + np.eye(sy, dtype=np.int64)).reshape(-1, sy),
+                                   axis=0, return_inverse=True)
+        column_class = moved.reshape(-1)[column_class[:, None] * sy + book].reshape(-1, n)
+    present, column_class = np.unique(column_class, return_inverse=True)
+    num_tuples = words**num_agents
+    hist = np.bincount((np.arange(num_tuples)[:, None] * present.size
+                        + column_class.reshape(num_tuples, n)).reshape(-1),
+                       minlength=num_tuples * present.size).reshape(num_tuples, -1)
+    hists, tuple_hist = np.unique(hist, axis=0, return_inverse=True)
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
-    matches: list[tuple[int, ...]] = []
-    for v_tuple in itertools.product(range(words), repeat=num_agents):
-        stacked = per_agent[0, v_tuple[0]].copy()
-        for agent in range(1, num_agents):
-            stacked += per_agent[agent, v_tuple[agent]]
-        ok = np.all((stacked >= lo) & (stacked <= hi), axis=(1, 2))
-        if np.any(ok):
-            matches.append(v_tuple)
-    if len(matches) == 1:
-        chosen = matches[0]
+    feasible = _feasible_histograms(hists, classes[present], lo, hi,
+                                    num_agents * lo_x, num_agents * hi_x)
+    matches = np.flatnonzero(feasible[tuple_hist.reshape(-1)])
+    if matches.size == 1:
+        chosen = tuple(int(v) for v in np.unravel_index(matches[0], (words,) * num_agents))
         return BinnedDecodeResult(matches_found=1, v_tuple=chosen,
                                   y_seq=codeword(specs[0], bins[0], chosen[0]))
-    return BinnedDecodeResult(matches_found=len(matches), v_tuple=None, y_seq=fallback)
+    return BinnedDecodeResult(matches_found=int(matches.size), v_tuple=None, y_seq=fallback)
 
 
 def direct_specs(cfg: DirectSchemeConfig, source_cfg: SourceConfig, seed: int):

@@ -137,7 +137,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
             raise ExperimentAborted(
                 f"{len(aborted)}/{cfg.trials} trials exceeded the decoder search "
                 f"budget (first: {aborted[0][-1]}); shrink n, L, or the codebook, "
-                f"or raise the decoder limits")
+                f"or, calling the library, raise ExperimentConfig.decoder_limits")
         rows = [row for row in rows if row[1] != "__aborted__"]
     if not rows:
         raise ExperimentAborted("no trial completed within the decoder limits")

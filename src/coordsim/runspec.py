@@ -111,6 +111,10 @@ _SCHEMA = {
 }
 
 
+# epsilons keys that only the other scheme reads
+_OTHER_SCHEME_EPSILONS = {"direct": ("ag", "zero"), "binned": ("slacks",)}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Validated run spec with every section materialized as library types."""
@@ -212,6 +216,10 @@ def parse_runspec(document: dict) -> RunSpec:
             epsilons[key] = float(epsilons[key]) * to_nats
     if float(epsilons["typicality"]) <= 0:
         raise SpecError("scheme.epsilons.typicality must be > 0")
+    for key in _OTHER_SCHEME_EPSILONS[scheme["kind"]]:
+        if key in epsilons:
+            raise SpecError(f"scheme.epsilons.{key} does not apply to the "
+                            f"{scheme['kind']} scheme")
     exp = document["experiment"]
     if scheme["kind"] == "binned":
         if len(rates) != 2:

@@ -76,6 +76,18 @@ class TestRunSpecParsing:
         with pytest.raises(SpecError, match="slack"):
             parse_runspec(document)
 
+    @pytest.mark.parametrize("kind, key, value", [("direct", "ag", 5.0),
+                                                  ("direct", "zero", 5.0),
+                                                  ("binned", "slacks", [0.1])])
+    def test_other_scheme_epsilons_key_rejected(self, kind, key, value):
+        document = base_spec()
+        if kind == "binned":
+            document["scheme"] = {"kind": "binned", "rates": [0.3, 0.2],
+                                  "epsilons": {"typicality": 0.4}}
+        document["scheme"]["epsilons"][key] = value
+        with pytest.raises(SpecError, match=f"epsilons.{key} does not apply to the {kind}"):
+            parse_runspec(document)
+
     def test_direct_rates_checked_for_every_agent_count(self):
         document = base_spec()
         document["scheme"]["rates"] = [0.3, 0.3]
@@ -123,6 +135,12 @@ class TestSimulateCommand:
     def test_epsilons_typo_exit_2(self, tmp_path):
         document = base_spec()
         document["scheme"]["epsilons"] = {"typicality": 0.4, "slack": [0.1]}
+        spec_path = write_spec(tmp_path, document)
+        assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+
+    def test_other_scheme_epsilons_key_exit_2(self, tmp_path):
+        document = base_spec()
+        document["scheme"]["epsilons"].update(ag=5.0, zero=5.0)
         spec_path = write_spec(tmp_path, document)
         assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
 

@@ -1,20 +1,24 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DecoderLimits,
                              DirectSchemeConfig, EncodeResult, ErrorCase,
-                             TrialInternals, binned_specs, case_b_upper_bound,
-                             classify_error, codeword, codeword_block,
-                             decode_binned, decode_direct, direct_specs,
-                             encode_binned, encode_direct, run_binned_trial,
-                             run_direct_trial)
-from coordsim.probkit import CondPmf, Pmf, compose_markov, joint_type, tv_distance
+                             TrialInternals, _first_unique, binned_specs,
+                             case_b_upper_bound, classify_error, codeword,
+                             codeword_block, decode_binned, decode_direct,
+                             direct_specs, encode_binned, encode_direct,
+                             run_binned_trial, run_direct_trial)
+from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
+                              tv_distance)
 from coordsim.source import SourceConfig, draw_actions
-from coordsim.typicality import is_strongly_typical
+from coordsim.typicality import is_marginally_typical, is_strongly_typical
 
 
 def direct_scheme(rate=0.35, slack=0.0, epsilon=0.5, obs_flip=0.2, aux_flip=0.3,
@@ -254,8 +258,29 @@ class TestDecodeBinned:
         with pytest.raises(DecoderBudgetExceeded):
             decode_binned([0, 0], cfg, specs, DecoderLimits(max_candidates=1))
 
+    @pytest.mark.parametrize("sx, n, epsilon", [(2, 10, 0.6), (3, 6, 1.1)])
+    def test_candidate_cap_is_enumerated_search_size(self, sx, n, epsilon):
+        law = np.random.default_rng(sx).random((sx, sx, 2))
+        cfg, specs = _instance(law, epsilon, n, 2, 3, 7)
+        typical = sum(is_marginally_typical(x, cfg.p_x, epsilon)
+                      for x in itertools.product(range(sx), repeat=n))
+        cap = typical * 3**2
+        assert typical > 0
+        decode_binned([0, 1], cfg, specs, DecoderLimits(max_candidates=cap))
+        with pytest.raises(DecoderBudgetExceeded, match=f"search over {cap} "):
+            decode_binned([0, 1], cfg, specs, DecoderLimits(max_candidates=cap - 1))
+
+    def test_enumeration_cap_boundary(self):
+        cfg, specs = _instance(np.ones((3, 3, 2)), 0.5, 7, 2, 2, 7)
+        decode_binned([0, 1], cfg, specs, DecoderLimits(max_enumeration=3**7))
+        with pytest.raises(DecoderBudgetExceeded, match=r"action enumeration 3\^7 exceeds"):
+            decode_binned([0, 1], cfg, specs, DecoderLimits(max_enumeration=3**7 - 1))
+
 
 def _exhaustive_matches(bins, cfg, specs):
+    """The literal joint decoder: every word tuple against every action
+    sequence, with no x-marginal pre-filter."""
+    sx = cfg.pair_src_out.shape[0]
     n = specs[0].n
     words = specs[0].words_per_bin
     agents = len(bins)
@@ -263,13 +288,101 @@ def _exhaustive_matches(bins, cfg, specs):
     for v_tuple in itertools.product(range(words), repeat=agents):
         stacked_y = np.concatenate([codeword(specs[l], bins[l], v_tuple[l])
                                     for l in range(agents)])
-        for code in range(2**n):
-            x = np.array([(code >> i) & 1 for i in range(n)])
-            if is_strongly_typical(np.tile(x, agents), stacked_y,
-                                   cfg.pair_src_out, cfg.epsilon):
-                matches.append(v_tuple)
-                break
+        if any(is_strongly_typical(np.tile(x, agents), stacked_y,
+                                   cfg.pair_src_out, cfg.epsilon)
+               for x in itertools.product(range(sx), repeat=n)):
+            matches.append(v_tuple)
     return matches
+
+
+def _clear_of_ties(probs: np.ndarray, n: int, epsilon: float) -> bool:
+    """No count c/n sits within 1e-9 of a cell's strict boundary p +- eps/#cells.
+
+    The decoder's x-marginal test is implied by the stacked test in exact
+    arithmetic; only at such a tie could rounding in the float marginal
+    split it from the literal decoder, which has no marginal test."""
+    freqs = np.arange(n + 1)[:, None] / n
+    return bool(np.abs(np.abs(freqs - probs.reshape(-1)) - epsilon / probs.size).min() > 1e-9)
+
+
+def _instance(law, epsilon, n, agents, words, seed):
+    triple = JointPmf(law / law.sum())
+    cfg = BinnedSchemeConfig(rate_bin=0.1, slack_bin=0.0, rate_word=0.1, slack_word=0.0,
+                             epsilon=epsilon, triple=triple)
+    specs = tuple(CodebookSpec(n=n, p_y=cfg.p_y, seed=seed, agent_id=l, num_bins=3,
+                               words_per_bin=words, log_bins=0.0, log_words=0.0)
+                  for l in range(agents))
+    return cfg, specs
+
+
+def _assert_matches_literal(bins, cfg, specs):
+    n, agents = specs[0].n, len(bins)
+    assert _clear_of_ties(cfg.pair_src_out.probs, n * agents, cfg.epsilon)
+    assert _clear_of_ties(cfg.p_x.probs, n, cfg.epsilon)
+    result = decode_binned(bins, cfg, specs)
+    matches = _exhaustive_matches(bins, cfg, specs)
+    assert result.matches_found == len(matches)
+    chosen = matches[0] if len(matches) == 1 else None
+    assert result.v_tuple == chosen
+    assert np.array_equal(result.y_seq, codeword(specs[0], bins[0], chosen[0] if chosen else 0))
+    return len(matches)
+
+
+# (|X|, |Y|, n, agents, words): n <= 10 binary and n <= 7 ternary, plus a
+# 3x3 case with four agents and a 4x4 case
+_LITERAL_CASES = [(2, 2, 10, 1, 4), (2, 2, 10, 2, 2), (2, 3, 9, 2, 3), (2, 2, 8, 3, 4),
+                  (2, 3, 7, 3, 3), (3, 2, 7, 1, 4), (3, 3, 7, 2, 2), (3, 3, 6, 3, 2),
+                  (3, 2, 5, 3, 4), (3, 3, 5, 4, 2), (4, 4, 5, 3, 2)]
+
+
+def test_first_unique_packs_wide_rows_into_several_keys():
+    # 20 rows below 50: the packed key needs 50**20 > 2**112, three int64 words
+    rows = np.random.default_rng(3).integers(0, 50, (20, 400))
+    rows[:, 200:] = rows[:, :200]
+    rows[-1, 300:] = (rows[-1, 300:] + 1) % 50
+    first = _first_unique(list(rows), [50] * 20)
+    _, expected = np.unique(rows.T, axis=0, return_index=True)
+    assert sorted(first) == sorted(expected)
+    assert len(first) == 300
+
+
+class TestDecodeBinnedLiteral:
+    def test_matches_literal_decoder(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for sx, sy, n, agents, words in _LITERAL_CASES:
+            for epsilon in (0.3, 0.9, 2.5):
+                law = rng.random((sx, sx, sy))
+                law[rng.random(law.shape) < 0.15] *= 1e-3
+                cfg, specs = _instance(law, epsilon, n, agents, words,
+                                       int(rng.integers(2**31)))
+                bins = [int(b) for b in rng.integers(0, 3, agents)]
+                seen.add(min(_assert_matches_literal(bins, cfg, specs), 2))
+        assert seen == {0, 1, 2}
+
+    def test_codewords_off_the_design_law_match_nothing(self):
+        # the design law almost never emits output 1, so hi[a, 1] = 0 and
+        # uniform codewords put every word tuple over it early in the search
+        law = np.array([[[0.5, 1e-6], [0.2, 1e-6]], [[0.1, 1e-6], [0.2, 1e-6]]])
+        cfg, specs = _instance(law, 0.2, 6, 2, 3, 11)
+        specs = tuple(dataclasses.replace(spec, p_y=Pmf.uniform(2)) for spec in specs)
+        assert _assert_matches_literal([0, 1], cfg, specs) == 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), sx=st.sampled_from((2, 3)), sy=st.sampled_from((2, 3)),
+           agents=st.integers(1, 3), words=st.integers(1, 4),
+           epsilon=st.floats(0.05, 3.0), seed=st.integers(0, 2**31 - 1))
+    def test_property_matches_literal_decoder(self, data, sx, sy, agents, words,
+                                              epsilon, seed):
+        n = data.draw(st.integers(1, 8 if sx == 2 else 5))
+        weight = st.one_of(st.floats(1e-6, 1e-3), st.floats(0.05, 1.0))
+        law = np.array(data.draw(st.lists(weight, min_size=sx * sx * sy,
+                                          max_size=sx * sx * sy))).reshape(sx, sx, sy)
+        cfg, specs = _instance(law, epsilon, n, agents, words, seed)
+        assume(_clear_of_ties(cfg.pair_src_out.probs, n * agents, epsilon))
+        assume(_clear_of_ties(cfg.p_x.probs, n, epsilon))
+        bins = data.draw(st.lists(st.integers(0, 2), min_size=agents, max_size=agents))
+        _assert_matches_literal(bins, cfg, specs)
 
 
 class TestClassifier:
