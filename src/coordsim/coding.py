@@ -15,7 +15,10 @@ Two constructions share the machinery here:
 
 Codebooks are lazy: a codeword is a pure function of
 (seed, agent, bin, word, position), so arbitrarily large books cost nothing
-until scanned.  Every trial receives exactly one error-case label:
+until scanned.  A scanned prefix is generated once and kept on its
+CodebookSpec (up to _PREFIX_CAP_BYTES), so later scans of the same book read
+it instead of regenerating it.  Every trial receives exactly one error-case
+label:
 
     A    some (action, observation) pair is not eps'-typical, eps' = eps/(2|X|)
     B    encoder failure on the non-A path (including scan-budget stops)
@@ -46,6 +49,10 @@ MAX_TOTAL_CODEWORDS = 2**48
 
 _SCAN_BATCH_START = 64
 _SCAN_BATCH_MAX = 8192
+
+# bytes of scanned prefix one CodebookSpec keeps; scans reaching past it
+# generate the rest of their codewords on the fly
+_PREFIX_CAP_BYTES = 16 * 2**20
 
 
 class DecoderBudgetExceeded(RuntimeError):
@@ -79,7 +86,9 @@ def _ceil_exp(x: float) -> int:
 class CodebookSpec:
     """Lazy random codebook: bins x words-per-bin sequences i.i.d. from p_y.
 
-    A direct-scheme book is the degenerate case words_per_bin == 1.
+    A direct-scheme book is the degenerate case words_per_bin == 1.  The
+    prefix an encoder has scanned is kept on the instance (see _rows); it
+    is not a field, so equality and repr ignore it.
     """
 
     n: int
@@ -133,6 +142,34 @@ class CodebookSpec:
                    num_bins=bins, words_per_bin=words,
                    log_bins=log_bins, log_words=log_words)
 
+    def _rows(self, start: int, stop: int, reach: int) -> np.ndarray:
+        """Codewords at flat indices start..stop-1, as rows of the smallest
+        unsigned dtype that holds |Y| - 1.
+
+        Rows come from a prefix store that grows geometrically, by calling
+        codeword_block on the missing indices only, up to `reach` (how far
+        the calling scan may go) and _PREFIX_CAP_BYTES; rows past the store
+        are generated on the fly.  Codewords are pure functions of their
+        index, so stored and regenerated rows are bit-identical.
+        """
+        dtype = np.min_scalar_type(self.p_y.size - 1)
+        store = self.__dict__.get("_prefix")
+        if store is None:
+            store = np.empty((0, self.n), dtype=dtype)
+        cap = min(reach, _PREFIX_CAP_BYTES // (self.n * dtype.itemsize))
+        have = len(store)
+        if stop > have and have < cap:
+            grown = np.empty((min(max(stop, 2 * have), cap), self.n), dtype=dtype)
+            grown[:have] = store
+            grown[have:] = codeword_block(self, np.arange(have, len(grown), dtype=np.int64))
+            grown.setflags(write=False)
+            object.__setattr__(self, "_prefix", grown)
+            store = grown
+        if stop <= len(store):
+            return store[start:stop]
+        tail = codeword_block(self, np.arange(max(start, len(store)), stop, dtype=np.int64))
+        return np.concatenate([store[start:stop], tail.astype(dtype)])
+
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
     return rng.derive_key(spec.seed, CODEBOOK_STREAM, spec.agent_id)
@@ -142,7 +179,8 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     """Generate the codewords at the given flat indices (bin * words + word).
 
     Symbols are i.i.d. from p_y across fresh indices and bit-identical on
-    replay; nothing is cached or materialized beyond the requested block.
+    replay; nothing is cached or materialized beyond the requested block
+    (encoder scans keep their prefix through CodebookSpec._rows).
     """
     flat = np.asarray(flat_indices, dtype=np.int64)
     if flat.size and (flat.min() < 0 or flat.max() >= spec.num_codewords):
@@ -154,8 +192,12 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     positions = np.arange(spec.n, dtype=np.uint64)
     state = rng.fold(h[:, None], positions[None, :])
     u = (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    cdf = rng.right_closed_cdf(spec.p_y.probs)
-    return np.searchsorted(cdf, u.reshape(-1), side="right").reshape(flat.size, spec.n).astype(np.int64)
+    # inverse CDF: the number of cdf entries <= u (searchsorted 'right'); the
+    # last entry, 1.0, exceeds every u
+    symbols = np.zeros(u.shape, dtype=np.int64)
+    for edge in rng.right_closed_cdf(spec.p_y.probs)[:-1]:
+        symbols += u >= edge
+    return symbols
 
 
 def codeword(spec: CodebookSpec, w: int, v: int = 0) -> np.ndarray:
@@ -334,13 +376,21 @@ def classify_error(internals: TrialInternals) -> ErrorCase:
 
 
 def _cell_counts(x, y, sx: int, sy: int) -> np.ndarray:
-    """Cell counts of the row pairs (x_k, y_k), with x and y broadcast
-    against each other to a batch of rows; shape (batch, sx, sy)."""
-    codes = x * sy + y
-    out = np.empty((codes.shape[0], sx * sy), dtype=np.int64)
-    for cell in range(sx * sy):
-        out[:, cell] = (codes == cell).sum(axis=1)
-    return out.reshape(codes.shape[0], sx, sy)
+    """Cell counts of the pairs (x, y_k) of one sequence x against each row
+    y_k of a batch; shape (batch, sx, sy).
+
+    One one-hot matmul per output symbol but the last, whose column is the
+    type of x minus the others.  Sums of 0/1 products are exact in float32
+    while n < 2**24, and in float64 up to 2**53.
+    """
+    n = x.shape[-1]
+    ftype = np.float32 if n < 2**24 else np.float64
+    x_hot = (x[:, None] == np.arange(sx)).astype(ftype)
+    out = np.empty((y.shape[0], sx, sy), dtype=np.int64)
+    for b in range(sy - 1):
+        out[:, :, b] = (y == b).astype(ftype) @ x_hot
+    out[:, :, -1] = np.bincount(x, minlength=sx) - out[:, :, :-1].sum(axis=2)
+    return out
 
 
 def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
@@ -351,7 +401,10 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     only the bin number.
 
     Batched, yet independent of the batching: hits resolve to the smallest
-    index.
+    index, budget stops included.  Codewords are read from the spec's prefix
+    store, which the scan grows to at most min(num_codewords, budget) and a
+    fixed byte cap, so repeated scans of one book generate each stored
+    codeword once.
     """
     xhat = np.asarray(xhat, dtype=np.int64)
     pair = cfg.pair_obs_out
@@ -362,7 +415,7 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     batch = _SCAN_BATCH_START
     while pos < limit:
         take = min(batch, limit - pos)
-        block = codeword_block(spec, np.arange(pos, pos + take, dtype=np.int64))
+        block = spec._rows(pos, pos + take, limit)
         counts = _cell_counts(xhat, block, sx, sy)
         ok = np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
         hits = np.flatnonzero(ok)
@@ -539,18 +592,19 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
             f"search over {search_size} (action, word-tuple) pairs exceeds cap "
             f"{limits.max_candidates}")
 
-    fallback = codeword(specs[0], bins[0], 0)
     if typical_x == 0:
-        return BinnedDecodeResult(matches_found=0, v_tuple=None, y_seq=fallback)
+        return BinnedDecodeResult(matches_found=0, v_tuple=None,
+                                  y_seq=codeword(specs[0], bins[0], 0))
 
     # the column class of every (word tuple, position), one agent at a time:
     # a class is a count vector over output symbols, and an agent emitting
     # symbol b moves each class to the one with count b raised; word tuples
     # run in lexicographic order, agent 0 slowest
+    books = [codeword_block(spec, w * words + np.arange(words, dtype=np.int64))
+             for spec, w in zip(specs, bins)]
     classes = np.zeros((1, sy), dtype=np.int64)
     column_class = np.zeros((1, n), dtype=np.int64)
-    for spec, w in zip(specs, bins):
-        book = codeword_block(spec, w * words + np.arange(words, dtype=np.int64))
+    for book in books:
         classes, moved = np.unique((classes[:, None] + np.eye(sy, dtype=np.int64)).reshape(-1, sy),
                                    axis=0, return_inverse=True)
         column_class = moved.reshape(-1)[column_class[:, None] * sy + book].reshape(-1, n)
@@ -567,9 +621,8 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
     matches = np.flatnonzero(feasible[tuple_hist.reshape(-1)])
     if matches.size == 1:
         chosen = tuple(int(v) for v in np.unravel_index(matches[0], (words,) * num_agents))
-        return BinnedDecodeResult(matches_found=1, v_tuple=chosen,
-                                  y_seq=codeword(specs[0], bins[0], chosen[0]))
-    return BinnedDecodeResult(matches_found=int(matches.size), v_tuple=None, y_seq=fallback)
+        return BinnedDecodeResult(matches_found=1, v_tuple=chosen, y_seq=books[0][chosen[0]])
+    return BinnedDecodeResult(matches_found=int(matches.size), v_tuple=None, y_seq=books[0][0])
 
 
 def direct_specs(cfg: DirectSchemeConfig, source_cfg: SourceConfig, seed: int):

@@ -160,7 +160,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(trials, max(workers, 1) * 4))
+    """Contiguous trial ranges, one per task.
+
+    A single worker runs one block, so each codebook prefix is generated
+    once per cell; more workers get workers * 4 blocks, and each block builds
+    its own specs and so its own prefixes.
+    """
+    pieces = 1 if workers <= 1 else min(trials, workers * 4)
     size = math.ceil(trials / pieces)
     return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 

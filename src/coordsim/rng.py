@@ -75,14 +75,6 @@ def categorical(key: np.uint64, indices: np.ndarray, cdf: np.ndarray) -> np.ndar
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def categorical_rows(key: np.uint64, indices: np.ndarray, cdf_rows: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-    """Per-index inverse CDF where index i uses conditioning row rows[i]."""
-    u = uniforms(key, indices)
-    # searchsorted(row, u, 'right') == number of cdf entries <= u
-    return (cdf_rows[rows] <= u[:, None]).sum(axis=1).astype(np.int64)
-
-
 def right_closed_cdf(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums with the final entry pinned to exactly 1.0."""
     cdf = np.cumsum(np.asarray(probs, dtype=np.float64))

@@ -58,15 +58,13 @@ def draw_actions(cfg: SourceConfig, seed: int, trial_index: int) -> ActionDraw:
     state is consumed.
     """
     base = rng.derive_key(seed, SOURCE_STREAM, trial_index)
-    positions = np.arange(cfg.n, dtype=np.uint64)
+    keys = rng.fold(base, np.arange(cfg.L + 1, dtype=np.uint64))
+    u = rng.uniforms(keys[:, None], np.arange(cfg.n, dtype=np.uint64))
 
-    x_key = rng.fold(base, 0)
-    x = rng.categorical(x_key, positions, rng.right_closed_cdf(cfg.p0.probs))
-
+    # inverse CDFs: the number of cdf entries <= u (searchsorted 'right');
+    # every observation stream reads the cdf rows of the same actions
+    x = (rng.right_closed_cdf(cfg.p0.probs) <= u[0, :, None]).sum(axis=1).astype(np.int64)
     obs_cdf = np.cumsum(cfg.obs_channel.rows, axis=1)
     obs_cdf[:, -1] = 1.0
-    xhat = np.empty((cfg.L, cfg.n), dtype=np.int64)
-    for agent in range(cfg.L):
-        key = rng.fold(base, 1 + agent)
-        xhat[agent] = rng.categorical_rows(key, positions, obs_cdf, x)
+    xhat = (obs_cdf[x] <= u[1:, :, None]).sum(axis=2).astype(np.int64)
     return ActionDraw(x_seq=x, xhat_seqs=xhat)

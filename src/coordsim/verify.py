@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cli, region as region_mod, rng
 from .coding import (BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
-                     binned_specs, codeword, run_binned_trial)
+                     binned_specs, codeword_block, run_binned_trial)
 from .harness import ExperimentConfig, run_experiment
 from .probkit import (CondPmf, Pmf, compose_markov,
                       conditional_mutual_information, joint_type,
@@ -358,7 +358,6 @@ def _oracle_binned_trial(source_cfg, cfg, specs, seed, trial):
     exact-comparison machinery.
     """
     draw = draw_actions(source_cfg, seed, trial)
-    n = source_cfg.n
     num_agents = source_cfg.L
     eps = cfg.epsilon
     eps_prime = eps / (2 * source_cfg.p0.size)
@@ -369,35 +368,21 @@ def _oracle_binned_trial(source_cfg, cfg, specs, seed, trial):
     pairs_ok = all(_oracle_pair_typical(draw.x_seq, draw.xhat_seqs[l], pair_so, eps_prime)
                    for l in range(num_agents))
 
+    books = _oracle_books(specs)
     found = []
     for l in range(num_agents):
         hit = None
         for flat in range(specs[l].num_codewords):
-            w, v = divmod(flat, specs[l].words_per_bin)
-            y = codeword(specs[l], w, v)
-            if _oracle_pair_typical(draw.xhat_seqs[l], y, pair_oo, eps):
-                hit = (w, v)
+            if _oracle_pair_typical(draw.xhat_seqs[l], books[l][flat], pair_oo, eps):
+                hit = divmod(flat, specs[l].words_per_bin)
                 break
         found.append(hit)
 
     matches = None
     if any(h is None for h in found):
-        y_out = codeword(specs[0], 0, 0)
+        y_out = books[0][0]
     else:
-        bins = [h[0] for h in found]
-        words = specs[0].words_per_bin
-        matches = []
-        for v_tuple in itertools.product(range(words), repeat=num_agents):
-            stacked_y = np.concatenate([codeword(specs[l], bins[l], v_tuple[l])
-                                        for l in range(num_agents)])
-            for x in _all_sequences(2, n):
-                if _oracle_pair_typical(np.tile(x, num_agents), stacked_y, pair_sy, eps):
-                    matches.append(v_tuple)
-                    break
-        if len(matches) == 1:
-            y_out = codeword(specs[0], bins[0], matches[0][0])
-        else:
-            y_out = codeword(specs[0], bins[0], 0)
+        matches, y_out = _oracle_decode([h[0] for h in found], cfg, specs, books)
 
     if not pairs_ok:
         label = "A"
@@ -412,24 +397,30 @@ def _oracle_binned_trial(source_cfg, cfg, specs, seed, trial):
     return label, y_out
 
 
-def _oracle_decode(bins, cfg, specs, num_agents: int):
+def _oracle_books(specs) -> list[np.ndarray]:
+    """Every codeword of every agent's (small) book, in flat index order."""
+    return [codeword_block(spec, np.arange(spec.num_codewords)) for spec in specs]
+
+
+def _oracle_decode(bins, cfg, specs, books):
     """Literal joint decoding: unfiltered action enumeration, float
     typicality, exhaustive word tuples."""
+    num_agents = len(bins)
     n = specs[0].n
     words = specs[0].words_per_bin
     pair_sy = cfg.pair_src_out.probs
+    stacked_xs = [np.tile(x, num_agents) for x in _all_sequences(2, n)]
     matches = []
     for v_tuple in itertools.product(range(words), repeat=num_agents):
-        stacked_y = np.concatenate([codeword(specs[l], bins[l], v_tuple[l])
+        stacked_y = np.concatenate([books[l][bins[l] * words + v_tuple[l]]
                                     for l in range(num_agents)])
-        for x in _all_sequences(2, n):
-            if _oracle_pair_typical(np.tile(x, num_agents), stacked_y,
-                                    pair_sy, cfg.epsilon):
+        for stacked_x in stacked_xs:
+            if _oracle_pair_typical(stacked_x, stacked_y, pair_sy, cfg.epsilon):
                 matches.append(v_tuple)
                 break
     if len(matches) == 1:
-        return matches, codeword(specs[0], bins[0], matches[0][0])
-    return matches, codeword(specs[0], bins[0], 0)
+        return matches, books[0][bins[0] * words + matches[0][0]]
+    return matches, books[0][bins[0] * words]
 
 
 def ac6_binned_decoder_oracle() -> CheckResult:
@@ -462,7 +453,7 @@ def ac6_binned_decoder_oracle() -> CheckResult:
             specs = binned_specs(cfg, source_cfg, seed + trial)
             bins = list(bins_table[trial])
             lib = decode_binned(bins, cfg, specs)
-            oracle_matches, oracle_y = _oracle_decode(bins, cfg, specs, num_agents)
+            oracle_matches, oracle_y = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
             bucket = min(len(oracle_matches), 2)
             match_coverage[bucket] = match_coverage.get(bucket, 0) + 1
             if lib.matches_found != len(oracle_matches) or \

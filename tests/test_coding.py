@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coordsim import coding, rng
 from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DecoderLimits,
                              DirectSchemeConfig, EncodeResult, ErrorCase,
-                             TrialInternals, _first_unique, binned_specs,
+                             TrialInternals, _cell_counts, _first_unique, binned_specs,
                              case_b_upper_bound, classify_error, codeword,
                              codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
@@ -18,7 +19,7 @@ from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
                               tv_distance)
 from coordsim.source import SourceConfig, draw_actions
-from coordsim.typicality import is_marginally_typical, is_strongly_typical
+from coordsim.typicality import count_bounds, is_marginally_typical, is_strongly_typical
 
 
 def direct_scheme(rate=0.35, slack=0.0, epsilon=0.5, obs_flip=0.2, aux_flip=0.3,
@@ -157,6 +158,158 @@ class TestEncodeDirect:
     def test_found_result_validates(self):
         with pytest.raises(ValueError):
             EncodeResult(w=None, v=None, found=True, search_cost=1)
+
+
+def _reference_scan(xhat, cfg, spec, budget):
+    """The encoder scan without the prefix store or the batch kernel: every
+    codeword up to the limit from one codeword_block call, each counted
+    with np.bincount."""
+    sx, sy = cfg.pair_obs_out.shape
+    lo, hi = count_bounds(cfg.pair_obs_out, spec.n, cfg.epsilon)
+    limit = spec.num_codewords if budget is None else min(spec.num_codewords, budget)
+    for flat, y in enumerate(codeword_block(spec, np.arange(limit))):
+        counts = np.bincount(xhat * sy + y, minlength=sx * sy).reshape(sx, sy)
+        if np.all((counts >= lo) & (counts <= hi)):
+            return EncodeResult(w=flat // spec.words_per_bin, v=flat % spec.words_per_bin,
+                                found=True, search_cost=flat + 1)
+    return EncodeResult(w=None, v=None, found=False, search_cost=limit,
+                        budget_hit=limit < spec.num_codewords)
+
+
+def _law(data, size):
+    """A probability vector drawn by hypothesis; zero entries allowed."""
+    weights = data.draw(st.lists(st.sampled_from((0.0, 0.05, 0.3, 1.0)),
+                                 min_size=size, max_size=size))
+    assume(sum(weights) > 0)
+    return np.array(weights) / sum(weights)
+
+
+class TestScanPrefixStore:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), sx=st.integers(1, 3), sy=st.integers(1, 3),
+           n=st.integers(1, 24), words=st.integers(1, 3),
+           epsilon=st.floats(0.05, 3.0), seed=st.integers(0, 2**31 - 1),
+           cap_rows=st.one_of(st.none(), st.integers(0, 300)))
+    def test_cached_scan_equals_uncached(self, data, sx, sy, n, words, epsilon, seed,
+                                         cap_rows):
+        triple = JointPmf(_law(data, sx * sx * sy).reshape(sx, sx, sy))
+        cfg = DirectSchemeConfig(rates=(0.1,), slacks=(0.0,), epsilon=epsilon,
+                                 triple=triple)
+        bins = data.draw(st.integers(1, 1500))
+        spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
+                            num_bins=bins, words_per_bin=words, log_bins=0.0,
+                            log_words=0.0)
+        # one spec serves every scan, so later (and shorter) scans read the
+        # store earlier ones grew
+        scans = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, sx - 1), min_size=n, max_size=n),
+                      st.one_of(st.none(), st.integers(1, 3000))),
+            min_size=1, max_size=4))
+        with pytest.MonkeyPatch.context() as patch:
+            if cap_rows is not None:
+                patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * n)
+            for xhat, budget in scans:
+                xhat = np.array(xhat, dtype=np.int64)
+                assert encode_direct(xhat, cfg, spec, budget) == \
+                    _reference_scan(xhat, cfg, spec, budget)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), sy=st.sampled_from((1, 2, 3, 257)), n=st.integers(1, 9),
+           cap_rows=st.integers(0, 400), seed=st.integers(0, 2**31 - 1))
+    def test_rows_equal_generated_codewords(self, data, sy, n, cap_rows, seed):
+        spec = CodebookSpec(n=n, p_y=Pmf.uniform(sy), seed=seed, agent_id=3,
+                            num_bins=900, words_per_bin=1, log_bins=0.0, log_words=0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * n * (1 if sy <= 256 else 2))
+            for _ in range(data.draw(st.integers(1, 5))):
+                reach = data.draw(st.integers(1, 900))
+                stop = data.draw(st.integers(1, reach))
+                start = data.draw(st.integers(0, stop - 1))
+                rows = spec._rows(start, stop, reach)
+                assert rows.dtype == (np.uint8 if sy <= 256 else np.uint16)
+                assert np.array_equal(rows, codeword_block(spec, np.arange(start, stop)))
+        stored = vars(spec).get("_prefix", np.empty((0, n)))
+        assert np.array_equal(stored, codeword_block(spec, np.arange(len(stored))))
+
+    def test_store_is_generated_once_and_not_a_field(self, monkeypatch):
+        spec = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=1,
+                            num_bins=5000, words_per_bin=1, log_bins=0.0, log_words=0.0)
+        generated = []
+        original = coding.codeword_block
+
+        def counting(spec, flat):
+            generated.append(len(flat))
+            return original(spec, flat)
+
+        monkeypatch.setattr(coding, "codeword_block", counting)
+        cfg = direct_scheme(epsilon=0.01)
+        xhat = np.zeros(12, dtype=np.int64)
+        first = encode_direct(xhat, cfg, spec, budget=3000)
+        assert not first.found and first.search_cost == 3000
+        assert sum(generated) == 3000
+        assert encode_direct(xhat, cfg, spec, budget=2000) == \
+            dataclasses.replace(first, search_cost=2000)
+        assert sum(generated) == 3000
+        # a scan reaching further extends the store by the missing rows only
+        encode_direct(xhat, cfg, spec, budget=4000)
+        assert sum(generated) == 4000
+        assert spec._rows(0, 4000, 4000).dtype == np.uint8
+        fresh = dataclasses.replace(spec)
+        assert fresh == spec and repr(fresh) == repr(spec)
+        assert "_prefix" in vars(spec) and "_prefix" not in vars(fresh)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sx=st.integers(1, 3), sy=st.integers(1, 3), n=st.integers(1, 40),
+           batch=st.integers(0, 20), seed=st.integers(0, 2**31 - 1))
+    def test_cell_counts_equal_bincount(self, sx, sy, n, batch, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.integers(0, sx, n)
+        y = gen.integers(0, sy, (batch, n)).astype(np.uint8)
+        expected = np.array([np.bincount(x * sy + row, minlength=sx * sy)
+                             for row in y.astype(np.int64)]).reshape(batch, sx, sy)
+        counts = _cell_counts(x, y, sx, sy)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+
+def _uniforms_of(spec, flat):
+    """The uniforms codeword_block draws for these flat indices."""
+    key = rng.derive_key(spec.seed, coding.CODEBOOK_STREAM, spec.agent_id)
+    flat = np.asarray(flat, dtype=np.uint64)
+    h = rng.fold(rng.fold(key, flat // np.uint64(spec.words_per_bin)),
+                 flat % np.uint64(spec.words_per_bin))
+    state = rng.fold(h[:, None], np.arange(spec.n, dtype=np.uint64)[None, :])
+    return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class TestCodewordSampler:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), sy=st.integers(1, 5), n=st.integers(1, 30),
+           words=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+    def test_equals_searchsorted_reference(self, data, sy, n, words, seed):
+        spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=2,
+                            num_bins=50, words_per_bin=words, log_bins=0.0, log_words=0.0)
+        flat = np.array(data.draw(st.lists(st.integers(0, 50 * words - 1), max_size=20)),
+                        dtype=np.int64)
+        cdf = rng.right_closed_cdf(spec.p_y.probs)
+        expected = np.searchsorted(cdf, _uniforms_of(spec, flat), side="right")
+        block = codeword_block(spec, flat)
+        assert block.dtype == np.int64 and block.shape == (flat.size, n)
+        assert np.array_equal(block, expected)
+
+    def test_uniform_on_a_cdf_entry_takes_the_next_symbol(self):
+        # searchsorted 'right' counts a cdf entry equal to u, so u == cdf[0]
+        # must emit symbol 1, not 0
+        probe = CodebookSpec(n=8, p_y=Pmf.uniform(3), seed=5, agent_id=0, num_bins=4,
+                             words_per_bin=1, log_bins=0.0, log_words=0.0)
+        u = _uniforms_of(probe, np.arange(4))
+        tie = float(u[2, 3])
+        spec = dataclasses.replace(probe, p_y=Pmf([tie, (1 - tie) / 2, (1 - tie) / 2]))
+        cdf = rng.right_closed_cdf(spec.p_y.probs)
+        assert cdf[0] == tie
+        block = codeword_block(spec, np.arange(4))
+        assert block[2, 3] == 1
+        assert np.array_equal(block, np.searchsorted(cdf, u, side="right"))
 
 
 class TestDecodeDirect:

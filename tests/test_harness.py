@@ -2,7 +2,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coordsim import coding
 from coordsim.coding import (BinnedSchemeConfig, DecoderLimits,
                              DirectSchemeConfig, ErrorCase)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
@@ -57,6 +60,37 @@ class TestRunExperiment:
         solo = strip_timing(run_experiment(cfg, workers=1))
         quad = strip_timing(run_experiment(cfg, workers=4))
         assert solo == quad
+
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(scheme=st.sampled_from(("direct", "binned")), trials=st.integers(1, 23),
+           seed=st.integers(0, 2**31 - 1))
+    def test_two_workers_match_one(self, scheme, trials, seed):
+        if scheme == "direct":
+            cfg = direct_config(n=24, L=2, trials=trials, seed=seed, budget=400)
+        else:
+            cfg = binned_config(trials=trials, seed=seed)
+        assert strip_timing(run_experiment(cfg, workers=1)) == \
+            strip_timing(run_experiment(cfg, workers=2))
+
+    def test_single_worker_generates_each_prefix_once(self, monkeypatch):
+        generated, costs = [], {}
+        block, encode = coding.codeword_block, coding.encode_direct
+
+        def counting_block(spec, flat):
+            generated.append(len(flat))
+            return block(spec, flat)
+
+        def recording_encode(xhat, cfg, spec, budget=None):
+            result = encode(xhat, cfg, spec, budget)
+            costs[spec.agent_id] = max(costs.get(spec.agent_id, 0), result.search_cost)
+            return result
+
+        monkeypatch.setattr(coding, "codeword_block", counting_block)
+        monkeypatch.setattr(coding, "encode_direct", recording_encode)
+        cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
+        stats = run_experiment(cfg)
+        assert stats.budget_hits > 0 and set(costs) == {0, 1}
+        assert sum(generated) <= sum(costs.values()) + cfg.trials
 
     def test_binned_scheme_runs(self):
         stats = run_experiment(binned_config())

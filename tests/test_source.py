@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from coordsim import rng
 from coordsim.probkit import CondPmf, Pmf, joint_type, tv_distance
-from coordsim.source import ActionDraw, SourceConfig, draw_actions
+from coordsim.source import SOURCE_STREAM, ActionDraw, SourceConfig, draw_actions
 
 
 def make_config(n=100, L=2, p0=None, flip=0.2):
@@ -65,6 +66,27 @@ class TestDrawActions:
         assert draw.x_seq.shape == (33,)
         assert draw.xhat_seqs.shape == (4, 33)
         assert draw.x_seq.min() >= 0 and draw.x_seq.max() <= 1
+
+    def test_equals_stream_by_stream_reference(self):
+        # stream 0 is the action and stream 1+l agent l's observation, each
+        # sampled with searchsorted 'right'; the laws put one uniform of each
+        # kind exactly on a cdf entry, which must count as passed
+        seed, trial, n = 8, 3, 12
+        base = rng.derive_key(seed, SOURCE_STREAM, trial)
+        positions = np.arange(n, dtype=np.uint64)
+        streams = [rng.uniforms(rng.fold(base, s), positions) for s in range(3)]
+        u_x, u_obs = float(streams[0][3]), float(streams[1][5])
+        cfg = SourceConfig(p0=Pmf([u_x, 1 - u_x]),
+                           obs_channel=CondPmf(np.array([[u_obs, 1 - u_obs]] * 2)),
+                           L=2, n=n)
+        draw = draw_actions(cfg, seed, trial)
+        x = np.searchsorted(rng.right_closed_cdf(cfg.p0.probs), streams[0], side="right")
+        xhat = [[np.searchsorted(rng.right_closed_cdf(cfg.obs_channel.rows[a]), u, side="right")
+                 for a, u in zip(x, stream)] for stream in streams[1:]]
+        assert x[3] == 1 and xhat[0][5] == 1
+        assert draw.x_seq.dtype == draw.xhat_seqs.dtype == np.int64
+        assert np.array_equal(draw.x_seq, x)
+        assert np.array_equal(draw.xhat_seqs, np.array(xhat))
 
     def test_empirical_law_matches_p0(self):
         # law of large numbers at 1e5 symbols
