@@ -42,7 +42,8 @@ import numpy as np
 from . import rng
 from .probkit import JointPmf, Pmf, joint_type, mutual_information, tv_distance
 from .source import SourceConfig, draw_actions
-from .typicality import count_bounds, delta_t, epsilon_m, is_strongly_typical
+from .typicality import (count_bounds, counts_typical, delta_t, epsilon_m,
+                         is_strongly_typical)
 
 CODEBOOK_STREAM = 2
 MAX_TOTAL_CODEWORDS = 2**48
@@ -169,6 +170,12 @@ class CodebookSpec:
             return store[start:stop]
         tail = codeword_block(self, np.arange(max(start, len(store)), stop, dtype=np.int64))
         return np.concatenate([store[start:stop], tail.astype(dtype)])
+
+    def _word(self, flat: int) -> np.ndarray:
+        """The codeword at one flat index as int64: read from the prefix
+        store when the store holds it, else generated alone (a reach of 0
+        never grows the store)."""
+        return self._rows(flat, flat + 1, 0)[0].astype(np.int64)
 
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
@@ -375,21 +382,29 @@ def classify_error(internals: TrialInternals) -> ErrorCase:
     return ErrorCase.NONE if internals.output_typical else ErrorCase.D
 
 
-def _cell_counts(x, y, sx: int, sy: int) -> np.ndarray:
-    """Cell counts of the pairs (x, y_k) of one sequence x against each row
-    y_k of a batch; shape (batch, sx, sy).
+def _one_hot(x, sx: int):
+    """The one-hot of the sequence x as sx rows of length n, and the type of
+    x as an (sx, 1) column, in the float dtype _cell_counts sums in: sums of
+    0/1 products are exact in float32 while n < 2**24, and in float64 up to
+    2**53."""
+    ftype = np.float32 if x.shape[-1] < 2**24 else np.float64
+    hot = (x == np.arange(sx)[:, None]).astype(ftype)
+    return hot, hot.sum(axis=1, keepdims=True)
 
-    One one-hot matmul per output symbol but the last, whose column is the
-    type of x minus the others.  Sums of 0/1 products are exact in float32
-    while n < 2**24, and in float64 up to 2**53.
+
+def _cell_counts(x_hot, x_type, y, sy: int) -> np.ndarray:
+    """Cell counts of the pairs (x, y_k) of one sequence x, given by
+    _one_hot, against each row y_k of a batch, laid out [b, a, k]: the
+    number of positions where y_k is b and x is a.  Shape (sy, sx, batch),
+    exact integers in x_hot's dtype.
+
+    One stacked matmul counts every output symbol but the last, whose
+    counts are the type of x minus the others.
     """
-    n = x.shape[-1]
-    ftype = np.float32 if n < 2**24 else np.float64
-    x_hot = (x[:, None] == np.arange(sx)).astype(ftype)
-    out = np.empty((y.shape[0], sx, sy), dtype=np.int64)
-    for b in range(sy - 1):
-        out[:, :, b] = (y == b).astype(ftype) @ x_hot
-    out[:, :, -1] = np.bincount(x, minlength=sx) - out[:, :, :-1].sum(axis=2)
+    out = np.empty((sy, x_hot.shape[0], len(y)), dtype=x_hot.dtype)
+    y_hot = (y == np.arange(sy - 1, dtype=y.dtype)[:, None, None]).astype(x_hot.dtype)
+    np.matmul(x_hot, y_hot.transpose(0, 2, 1), out=out[:-1])
+    np.subtract(x_type, out[:-1].sum(axis=0), out=out[-1])
     return out
 
 
@@ -404,21 +419,25 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     index, budget stops included.  Codewords are read from the spec's prefix
     store, which the scan grows to at most min(num_codewords, budget) and a
     fixed byte cap, so repeated scans of one book generate each stored
-    codeword once.
+    codeword once.  The one-hot of the observation and its type are built
+    once per call, and each batch's count tables are tested against the
+    bounds as one flat (cells, batch) comparison.
     """
     xhat = np.asarray(xhat, dtype=np.int64)
     pair = cfg.pair_obs_out
     sx, sy = pair.shape
-    lo, hi = count_bounds(pair, spec.n, cfg.epsilon)
+    x_hot, x_type = _one_hot(xhat, sx)
+    # one bound per row of the flat (cells, batch) count table
+    lo, hi = (bound.T.reshape(-1, 1).astype(x_type.dtype)
+              for bound in count_bounds(pair, spec.n, cfg.epsilon))
     limit = spec.num_codewords if budget is None else min(spec.num_codewords, budget)
     pos = 0
     batch = _SCAN_BATCH_START
     while pos < limit:
         take = min(batch, limit - pos)
-        block = spec._rows(pos, pos + take, limit)
-        counts = _cell_counts(xhat, block, sx, sy)
-        ok = np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
-        hits = np.flatnonzero(ok)
+        counts = _cell_counts(x_hot, x_type, spec._rows(pos, pos + take, limit), sy)
+        counts = counts.reshape(sx * sy, take)
+        hits = np.logical_and.reduce((counts >= lo) & (counts <= hi)).nonzero()[0]
         if hits.size:
             flat = pos + int(hits[0])
             return EncodeResult(w=flat // spec.words_per_bin,
@@ -435,11 +454,15 @@ encode_binned = encode_direct
 
 def decode_direct(results, specs) -> np.ndarray:
     """Emit the codeword of the lowest-indexed successful agent; if every
-    encoder failed, fall back to agent 0's first codeword."""
+    encoder failed, fall back to agent 0's first codeword.
+
+    The word is read from the prefix store the agent's scan has just read
+    it from, as int64 like codeword().
+    """
     for spec, res in zip(specs, results):
         if res.found:
-            return codeword(spec, res.w, res.v if res.v is not None else 0)
-    return codeword(specs[0], 0, 0)
+            return spec._word(res.w * spec.words_per_bin + (res.v or 0))
+    return specs[0]._word(0)
 
 
 @lru_cache(maxsize=256)
@@ -594,7 +617,7 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
 
     if typical_x == 0:
         return BinnedDecodeResult(matches_found=0, v_tuple=None,
-                                  y_seq=codeword(specs[0], bins[0], 0))
+                                  y_seq=specs[0]._word(bins[0] * words))
 
     # the column class of every (word tuple, position), one agent at a time:
     # a class is a count vector over output symbols, and an agent emitting
@@ -657,7 +680,14 @@ def _run_trial(scheme: str, decode, source_cfg: SourceConfig, cfg, specs,
     results = [encode(draw.xhat_seqs[l], cfg, spec, budget)
                for l, spec in enumerate(specs)]
     y, matches = decode(results)
-    output_typical = is_strongly_typical(draw.x_seq, y, cfg.pair_src_out, cfg.epsilon)
+
+    # one (action, output) count table serves the output test and the TV
+    pair = cfg.pair_src_out
+    target = report_target if report_target is not None else pair
+    if target.shape != pair.shape:
+        raise ValueError("report_target shape must match the design pair")
+    out_type = joint_type(draw.x_seq, y, *pair.shape)
+    output_typical = counts_typical(out_type.counts, pair, source_cfg.n, cfg.epsilon)
 
     case = classify_error(TrialInternals(
         scheme=scheme, num_agents=len(specs),
@@ -665,11 +695,7 @@ def _run_trial(scheme: str, decode, source_cfg: SourceConfig, cfg, specs,
         encoders_succeeded=sum(r.found for r in results),
         output_typical=output_typical,
         decoder_matches=matches))
-
-    target = report_target if report_target is not None else cfg.pair_src_out
-    sx, sy = target.shape
-    tv = tv_distance(joint_type(draw.x_seq, y, sx, sy), target)
-    return TrialOutcome(y_seq=y, error_case=case, tv_realized=tv,
+    return TrialOutcome(y_seq=y, error_case=case, tv_realized=tv_distance(out_type, target),
                         budget_hit=any(r.budget_hit for r in results),
                         search_cost=sum(r.search_cost for r in results))
 
@@ -698,7 +724,7 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
     encoder succeeded."""
     def decode(results):
         if not all(r.found for r in results):
-            return codeword(specs[0], 0, 0), None
+            return specs[0]._word(0), None
         out = decode_binned([r.w for r in results], cfg, specs, limits)
         return out.y_seq, out.matches_found
 

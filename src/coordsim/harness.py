@@ -89,16 +89,32 @@ class ExperimentStats:
         return self.error_case_counts.get(label, 0) / self.trials
 
 
-def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
-    if isinstance(cfg.scheme, DirectSchemeConfig):
-        specs = direct_specs(cfg.scheme, cfg.source, cfg.seed)
+# the codebook specs of the last cell this process ran, keyed by what their
+# codewords depend on, so the blocks of one cell share their prefix stores;
+# one entry, so a process keeps at most one cell's stores
+_cell_memo: dict = {}
 
+
+def _cell_specs(cfg: ExperimentConfig) -> tuple:
+    """This process's codebook specs for cfg's cell: fresh ones for a new
+    cell, else the ones its earlier blocks grew."""
+    build = direct_specs if isinstance(cfg.scheme, DirectSchemeConfig) else binned_specs
+    specs = build(cfg.scheme, cfg.source, cfg.seed)
+    key = tuple((s.n, s.p_y.probs.tobytes(), s.seed, s.agent_id, s.num_bins, s.words_per_bin)
+                for s in specs)
+    if key not in _cell_memo:
+        _cell_memo.clear()
+        _cell_memo[key] = specs
+    return _cell_memo[key]
+
+
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
+    specs = _cell_specs(cfg)
+    if isinstance(cfg.scheme, DirectSchemeConfig):
         def runner(t):
             return run_direct_trial(cfg.source, cfg.scheme, specs, cfg.seed, t,
                                     budget=cfg.search_budget, report_target=cfg.target)
     else:
-        specs = binned_specs(cfg.scheme, cfg.source, cfg.seed)
-
         def runner(t):
             return run_binned_trial(cfg.source, cfg.scheme, specs, cfg.seed, t,
                                     budget=cfg.search_budget, limits=cfg.decoder_limits,
@@ -162,9 +178,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous trial ranges, one per task.
 
-    A single worker runs one block, so each codebook prefix is generated
-    once per cell; more workers get workers * 4 blocks, and each block builds
-    its own specs and so its own prefixes.
+    A single worker runs one block; more workers get workers * 4 blocks.
+    Either way each process generates a cell's codebook prefixes once: the
+    blocks it runs share its specs (see _cell_specs).
     """
     pieces = 1 if workers <= 1 else min(trials, workers * 4)
     size = math.ceil(trials / pieces)

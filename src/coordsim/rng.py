@@ -17,7 +17,8 @@ SplitMix64 finalizer,
 
 with PHI64 = 0x9E3779B97F4A7C15 (odd, so w -> w * PHI64 is a bijection mod
 2**64).  Uniform doubles in [0, 1) take the top 53 bits of the state:
-u = (h >> 11) * 2**-53.  All arithmetic is mod 2**64 on numpy uint64.
+u = (h >> 11) * 2**-53.  All arithmetic is mod 2**64, on numpy uint64 arrays
+or, for derive_key's scalar chain, on Python integers.
 """
 
 from __future__ import annotations
@@ -32,31 +33,67 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV_2_53 = float(2.0**-53)
+_MASK = 2**64 - 1
+_PHI_INT, _MIX1_INT, _MIX2_INT = int(PHI64), int(_MIX1), int(_MIX2)
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer, vectorized over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        z = z + PHI64
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        return z ^ (z >> _S31)
+    """SplitMix64 finalizer, vectorized over uint64 arrays.
+
+    uint64 arrays wrap silently; numpy scalars warn when they wrap, so a
+    scalar caller enters np.errstate(over="ignore"), as fold does.
+    """
+    z = z + PHI64
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
 
 
 def fold(h: np.ndarray | np.uint64 | int, w: np.ndarray | int) -> np.ndarray | np.uint64:
     """Fold one path word into the state; either argument may be an array."""
     h = np.asarray(h, dtype=np.uint64) if not isinstance(h, np.uint64) else h
     w = np.asarray(w, dtype=np.uint64) if not isinstance(w, np.uint64) else w
+    if np.ndim(h) or np.ndim(w):
+        return mix64(h ^ (w * PHI64))
     with np.errstate(over="ignore"):
         return mix64(h ^ (w * PHI64))
 
 
-def derive_key(seed: int, *path: int) -> np.uint64:
-    """Chain a seed and a fixed index path into a single 64-bit key."""
-    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+def _mix64_int(z: int) -> int:
+    """mix64 of one state in Python integers."""
+    z = (z + _PHI_INT) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+    return z ^ (z >> 31)
+
+
+def _chain(h: int, path) -> int:
+    """Fold each path word into the state h, in Python integers."""
     for w in path:
-        h = fold(h, int(w))
-    return np.uint64(h)
+        w = int(w)
+        if not 0 <= w <= _MASK:
+            raise OverflowError(f"path word {w} out of bounds for uint64")
+        h = _mix64_int(h ^ ((w * _PHI_INT) & _MASK))
+    return h
+
+
+def derive_key(seed: int, *path: int) -> np.uint64:
+    """Chain a seed and a fixed index path into a single 64-bit key.
+
+    Bit-identical to folding each path word with `fold`, but computed in
+    Python integers: a short scalar chain costs less than numpy scalar
+    arithmetic.  A path word outside [0, 2**64) raises OverflowError, as
+    `fold` does.
+    """
+    return np.uint64(_chain(int(seed) & _MASK, path))
+
+
+def derive_keys(seed: int, *path: int, count: int) -> np.ndarray:
+    """The keys derive_key(seed, *path, s) for s = 0..count-1, as one
+    uint64 array."""
+    h = _chain(int(seed) & _MASK, path)
+    return np.array([_mix64_int(h ^ ((s * _PHI_INT) & _MASK)) for s in range(count)],
+                    dtype=np.uint64)
 
 
 def uniforms(key: np.uint64, indices: np.ndarray) -> np.ndarray:

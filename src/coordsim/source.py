@@ -10,6 +10,7 @@ regenerated independently and in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,20 @@ class SourceConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
+    @cached_property
+    def _action_cdf(self) -> np.ndarray:
+        cdf = rng.right_closed_cdf(self.p0.probs)
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def _obs_cdf(self) -> np.ndarray:
+        """One right-closed cdf row per action symbol."""
+        cdf = np.cumsum(self.obs_channel.rows, axis=1)
+        cdf[:, -1] = 1.0
+        cdf.setflags(write=False)
+        return cdf
+
 
 @dataclass(frozen=True)
 class ActionDraw:
@@ -57,14 +72,16 @@ def draw_actions(cfg: SourceConfig, seed: int, trial_index: int) -> ActionDraw:
     The output is a pure function of (cfg, seed, trial_index); no generator
     state is consumed.
     """
-    base = rng.derive_key(seed, SOURCE_STREAM, trial_index)
-    keys = rng.fold(base, np.arange(cfg.L + 1, dtype=np.uint64))
+    keys = rng.derive_keys(seed, SOURCE_STREAM, trial_index, count=cfg.L + 1)
     u = rng.uniforms(keys[:, None], np.arange(cfg.n, dtype=np.uint64))
 
-    # inverse CDFs: the number of cdf entries <= u (searchsorted 'right');
-    # every observation stream reads the cdf rows of the same actions
-    x = (rng.right_closed_cdf(cfg.p0.probs) <= u[0, :, None]).sum(axis=1).astype(np.int64)
-    obs_cdf = np.cumsum(cfg.obs_channel.rows, axis=1)
-    obs_cdf[:, -1] = 1.0
-    xhat = (obs_cdf[x] <= u[1:, :, None]).sum(axis=2).astype(np.int64)
+    # inverse CDFs by comparison-sum: the number of cdf entries <= u
+    # (searchsorted 'right'; the last entry, 1.0, exceeds every u); every
+    # observation stream reads the cdf rows of the same actions
+    x = np.zeros(cfg.n, dtype=np.int64)
+    for edge in cfg._action_cdf[:-1]:
+        x += u[0] >= edge
+    xhat = np.zeros((cfg.L, cfg.n), dtype=np.int64)
+    for edges in cfg._obs_cdf.T[:-1]:
+        xhat += u[1:] >= edges[x]
     return ActionDraw(x_seq=x, xhat_seqs=xhat)

@@ -11,8 +11,9 @@ from coordsim import coding, rng
 from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DecoderLimits,
                              DirectSchemeConfig, EncodeResult, ErrorCase,
-                             TrialInternals, _cell_counts, _first_unique, binned_specs,
-                             case_b_upper_bound, classify_error, codeword,
+                             TrialInternals, _cell_counts, _first_unique,
+                             _one_hot, binned_specs, case_b_upper_bound,
+                             classify_error, codeword,
                              codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
@@ -267,9 +268,9 @@ class TestScanPrefixStore:
         y = gen.integers(0, sy, (batch, n)).astype(np.uint8)
         expected = np.array([np.bincount(x * sy + row, minlength=sx * sy)
                              for row in y.astype(np.int64)]).reshape(batch, sx, sy)
-        counts = _cell_counts(x, y, sx, sy)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected)
+        counts = _cell_counts(*_one_hot(x, sx), y, sy)
+        assert counts.dtype == np.float32 and counts.shape == (sy, sx, batch)
+        assert np.array_equal(counts, expected.transpose(2, 1, 0))
 
 
 def _uniforms_of(spec, flat):
@@ -398,6 +399,19 @@ class TestDecodeBinned:
         assert result.matches_found > 1
         assert result.v_tuple is None
         assert np.array_equal(result.y_seq, codeword(specs[0], 0, 0))
+
+    def test_no_typical_action_emits_word_0_of_agent_0s_bin(self):
+        # at n = 1 no count is strictly within 0.5 / 2 of n / 2, so no action
+        # sequence is typical and the decoder returns before any bin block
+        cfg = binned_scheme(epsilon=0.5, n=1)
+        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                           L=2, n=1)
+        specs = binned_specs(cfg, src, 5)
+        assert specs[0].num_bins == 4 and specs[0].words_per_bin == 3
+        result = decode_binned([2, 1], cfg, specs)
+        assert result.matches_found == 0 and result.v_tuple is None
+        assert result.y_seq.dtype == np.int64
+        assert np.array_equal(result.y_seq, codeword(specs[0], 2, 0))
 
     def test_budget_limits_raise(self):
         cfg = binned_scheme()
@@ -638,6 +652,37 @@ class TestTrials:
         assert a.error_case == b.error_case
         assert np.array_equal(a.y_seq, b.y_seq)
         assert a.tv_realized != b.tv_realized
+
+
+    def test_report_target_of_another_shape_is_refused(self):
+        cfg = direct_scheme(rate=0.4)
+        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                           L=1, n=24)
+        specs = direct_specs(cfg, src, 55)
+        wide = JointPmf(np.full((2, 3), 1 / 6))
+        with pytest.raises(ValueError, match="report_target"):
+            run_direct_trial(src, cfg, specs, 55, 4, report_target=wide)
+
+    def test_binned_encoder_failure_emits_agent_0s_first_word(self, monkeypatch):
+        cfg = binned_scheme(bins=1.5, words=1.0, epsilon=0.05)
+        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                           L=2, n=6)
+        specs = binned_specs(cfg, src, 8)
+        generated = []
+        block = coding.codeword_block
+
+        def counting(spec, flat):
+            generated.append(len(flat))
+            return block(spec, flat)
+
+        monkeypatch.setattr(coding, "codeword_block", counting)
+        outcome = run_binned_trial(src, cfg, specs, 8, 0)
+        assert outcome.error_case in (ErrorCase.A, ErrorCase.B)
+        # one single-word book per agent, read by its scan and then by the
+        # fallback from the store
+        assert generated == [1, 1]
+        assert outcome.y_seq.dtype == np.int64
+        assert np.array_equal(outcome.y_seq, codeword(specs[0], 0))
 
 
 class TestCaseAFrequency:

@@ -1,18 +1,20 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordsim import coding
+from coordsim import coding, harness
 from coordsim.coding import (BinnedSchemeConfig, DecoderLimits,
-                             DirectSchemeConfig, ErrorCase)
+                             DirectSchemeConfig, EncodeResult, ErrorCase,
+                             codeword, decode_direct, direct_specs)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
-                              ExperimentStats, check_delta_coordination,
-                              run_experiment)
+                              ExperimentStats, _run_block, _split_blocks,
+                              check_delta_coordination, run_experiment)
 from coordsim.probkit import CondPmf, Pmf, compose_markov, mutual_information
-from coordsim.source import SourceConfig
+from coordsim.source import SourceConfig, draw_actions
 
 
 def direct_config(n=40, L=1, trials=50, seed=11, rate=None, epsilon=0.3,
@@ -45,6 +47,21 @@ def binned_config(n=6, L=2, trials=30, seed=5, epsilon=0.5,
 def strip_timing(stats: ExperimentStats) -> ExperimentStats:
     return dataclasses.replace(stats, wall_time=0.0,
                                error_case_counts=dict(stats.error_case_counts))
+
+
+def count_generated(monkeypatch) -> list[int]:
+    """Patch codeword_block to record how many codewords each call makes,
+    and drop the specs this process keeps from earlier cells."""
+    generated = []
+    block = coding.codeword_block
+
+    def counting_block(spec, flat):
+        generated.append(len(flat))
+        return block(spec, flat)
+
+    monkeypatch.setattr(coding, "codeword_block", counting_block)
+    monkeypatch.setattr(harness, "_cell_memo", {})
+    return generated
 
 
 class TestRunExperiment:
@@ -91,6 +108,59 @@ class TestRunExperiment:
         stats = run_experiment(cfg)
         assert stats.budget_hits > 0 and set(costs) == {0, 1}
         assert sum(generated) <= sum(costs.values()) + cfg.trials
+
+    def test_single_worker_generates_no_codeword_past_the_prefixes(self, monkeypatch):
+        generated, costs = count_generated(monkeypatch), {}
+        encode = coding.encode_direct
+
+        def recording_encode(xhat, cfg, spec, budget=None):
+            result = encode(xhat, cfg, spec, budget)
+            costs[spec.agent_id] = max(costs.get(spec.agent_id, 0), result.search_cost)
+            return result
+
+        monkeypatch.setattr(coding, "encode_direct", recording_encode)
+        stats = run_experiment(direct_config(n=40, L=2, trials=60, rate=0.1, budget=900))
+        assert stats.budget_hits > 0 and set(costs) == {0, 1}
+        # the emitted words are read from the stores the scans grew
+        assert sum(generated) <= sum(costs.values())
+
+    def test_blocks_in_one_process_share_the_prefixes(self, monkeypatch):
+        cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
+        generated = count_generated(monkeypatch)
+        totals, rows = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_cell_memo", {})
+            generated.clear()
+            blocks = _split_blocks(cfg.trials, workers)
+            rows.append([row for lo, hi in blocks for row in _run_block(cfg, lo, hi)])
+            totals.append(sum(generated))
+        assert len(_split_blocks(cfg.trials, 2)) == 8
+        assert rows[0] == rows[1]
+        # both agents' scans reach the budget, so each book's store is 900 rows
+        assert totals == [2 * 900, 2 * 900]
+
+    def test_decode_direct_emits_the_stored_word_as_int64(self, monkeypatch):
+        cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
+        specs = direct_specs(cfg.scheme, cfg.source, cfg.seed)
+        generated = count_generated(monkeypatch)
+        failed = EncodeResult(w=None, v=None, found=False, search_cost=900)
+        for t in range(40):
+            draw = draw_actions(cfg.source, cfg.seed, t)
+            results = [coding.encode_direct(draw.xhat_seqs[l], cfg.scheme, spec, 900)
+                       for l, spec in enumerate(specs)]
+            for picked in (results, [failed, failed]):
+                before = sum(generated)
+                y = decode_direct(picked, specs)
+                assert sum(generated) == before
+                spec, w = next(((s, r.w) for s, r in zip(specs, picked) if r.found),
+                               (specs[0], 0))
+                assert y.dtype == np.int64 and np.array_equal(y, codeword(spec, w))
+        # a word the store does not hold is generated alone
+        fresh = direct_specs(cfg.scheme, cfg.source, cfg.seed)
+        generated.clear()
+        y = decode_direct([failed, EncodeResult(w=77, v=0, found=True, search_cost=78)], fresh)
+        assert generated == [1] and y.dtype == np.int64
+        assert np.array_equal(y, codeword(fresh[1], 77))
 
     def test_binned_scheme_runs(self):
         stats = run_experiment(binned_config())
