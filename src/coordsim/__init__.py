@@ -8,51 +8,46 @@ sequences to a target law, and computes the inner-bound rate regions (exact
 and within a total-variation radius) those schemes achieve.
 """
 
-from .probkit import (Alphabet, CondPmf, JointPmf, JointType, Pmf,
-                      compose_markov, conditional_mutual_information, entropy,
-                      joint_type, mutual_information, tv_distance)
-from .typicality import (conditional_set_size_bound, count_bounds, delta_t,
-                         epsilon_m, hit_probability_lower_bound,
-                         is_marginally_typical, is_strongly_typical,
-                         markov_lemma_bound, typical_set_size_bound)
+from .probkit import (CondPmf, JointPmf, JointType, Pmf, compose_markov,
+                      conditional_mutual_information, entropy, joint_type,
+                      mutual_information, tv_distance)
+from .typicality import (count_bounds, delta_t, epsilon_m, is_strongly_typical,
+                         typical_set_size_bound)
 from .source import ActionDraw, SourceConfig, draw_actions
 from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                      DecoderBudgetExceeded, DecoderLimits, DirectSchemeConfig,
                      EncodeResult, ErrorCase, TrialInternals, TrialOutcome,
-                     case_b_upper_bound, classify_error, codeword,
-                     codeword_block, decode_binned, decode_direct,
-                     encode_binned, encode_direct, run_binned_trial,
-                     run_direct_trial)
+                     classify_error, codeword_block, decode_binned,
+                     decode_direct, encode_binned, encode_direct,
+                     run_binned_trial, run_direct_trial)
 from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
                      induced_target, min_achievable_delta,
                      min_finite_agent_rate, min_per_agent_rate, per_agent_rate,
                      rate_delta_curve)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
-                      check_delta_coordination, run_experiment)
+                      run_experiment)
 from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Pmf", "CondPmf", "JointPmf", "JointType",
+    "Pmf", "CondPmf", "JointPmf", "JointType",
     "joint_type", "tv_distance", "entropy",
     "mutual_information", "conditional_mutual_information", "compose_markov",
     "epsilon_m", "delta_t", "count_bounds",
-    "is_strongly_typical", "is_marginally_typical",
-    "typical_set_size_bound", "conditional_set_size_bound",
-    "hit_probability_lower_bound", "markov_lemma_bound",
+    "is_strongly_typical", "typical_set_size_bound",
     "SourceConfig", "ActionDraw", "draw_actions",
     "CodebookSpec", "DirectSchemeConfig", "BinnedSchemeConfig",
     "EncodeResult", "TrialOutcome", "TrialInternals", "ErrorCase",
     "DecoderLimits", "DecoderBudgetExceeded", "BinnedDecodeResult",
-    "codeword", "codeword_block", "encode_direct", "decode_direct",
+    "codeword_block", "encode_direct", "decode_direct",
     "encode_binned", "decode_binned", "classify_error",
-    "run_direct_trial", "run_binned_trial", "case_b_upper_bound",
+    "run_direct_trial", "run_binned_trial",
     "RegionQuery", "RegionPoint", "CurvePoint",
     "finite_agent_rate", "per_agent_rate", "induced_target",
     "min_achievable_delta", "min_per_agent_rate", "min_finite_agent_rate",
     "rate_delta_curve",
     "ExperimentConfig", "ExperimentStats", "ExperimentAborted",
-    "run_experiment", "check_delta_coordination",
+    "run_experiment",
     "RunSpec", "SpecError", "load_runspec", "parse_runspec",
 ]

@@ -40,10 +40,9 @@ import mpmath
 import numpy as np
 
 from . import rng
-from .probkit import JointPmf, Pmf, joint_type, mutual_information, tv_distance
+from .probkit import JointPmf, Pmf, joint_type, tv_distance
 from .source import SourceConfig, draw_actions
-from .typicality import (count_bounds, counts_typical, delta_t, epsilon_m,
-                         is_strongly_typical)
+from .typicality import count_bounds, counts_typical, is_strongly_typical
 
 CODEBOOK_STREAM = 2
 MAX_TOTAL_CODEWORDS = 2**48
@@ -205,15 +204,6 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     for edge in rng.right_closed_cdf(spec.p_y.probs)[:-1]:
         symbols += u >= edge
     return symbols
-
-
-def codeword(spec: CodebookSpec, w: int, v: int = 0) -> np.ndarray:
-    """Codeword at bin w, word v (v stays 0 for direct-scheme books)."""
-    if not 0 <= w < spec.num_bins:
-        raise IndexError(f"bin index {w} out of range [0, {spec.num_bins})")
-    if not 0 <= v < spec.words_per_bin:
-        raise IndexError(f"word index {v} out of range [0, {spec.words_per_bin})")
-    return codeword_block(spec, np.array([w * spec.words_per_bin + v]))[0]
 
 
 class _SchemeConfig:
@@ -456,8 +446,8 @@ def decode_direct(results, specs) -> np.ndarray:
     """Emit the codeword of the lowest-indexed successful agent; if every
     encoder failed, fall back to agent 0's first codeword.
 
-    The word is read from the prefix store the agent's scan has just read
-    it from, as int64 like codeword().
+    The word is read, as int64, from the prefix store the agent's scan has
+    just read it from.
     """
     for spec, res in zip(specs, results):
         if res.found:
@@ -731,30 +721,3 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
     return _run_trial("binned", decode, source_cfg, cfg, specs, seed, trial_index,
                       budget, report_target)
 
-
-def case_b_upper_bound(cfg: DirectSchemeConfig, source_cfg: SourceConfig,
-                       predictive: bool = False) -> float:
-    """Analytic ceiling on the encoder-failure probability (case B).
-
-    Product over agents of exp(-M_l * (1 - delta_t(n, eps'/2)) *
-    e^{-n (I + 2 eps_m)}) with M_l the codebook size, eps' = eps/(2|X|), and
-    eps_m taken for the (observation, output) pair at eps'.  The (1-delta_t)
-    factor is clamped at 0, which makes the literal bound vacuous (== 1)
-    until n is astronomically large; with predictive=True the factor is
-    replaced by its large-n value 1, giving the ceiling the Monte Carlo
-    checks compare against.
-    """
-    n = source_cfg.n
-    pair = cfg.pair_obs_out
-    eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
-    if predictive:
-        factor = 1.0
-    else:
-        factor = max(1.0 - delta_t(n, eps_prime / 2.0, pair.shape), 0.0)
-    log_hit = -n * (mutual_information(pair.probs) + 2.0 * epsilon_m(pair, eps_prime))
-    total = 1.0
-    for l in range(cfg.num_agents):
-        m_l = _floor_exp(n * (cfg.rates[l] + cfg.slacks[l]))
-        expected_hits = m_l * factor * math.exp(log_hit)
-        total *= math.exp(-expected_hits)
-    return min(total, 1.0)

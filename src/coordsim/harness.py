@@ -29,7 +29,7 @@ CASE_LABELS = tuple(case.value for case in ErrorCase)
 
 
 class ExperimentAborted(RuntimeError):
-    """Raised when decoder search budgets blow past the configured tolerance."""
+    """Raised when a trial's decoder instance exceeds the decoder limits."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class ExperimentConfig:
     target: JointPmf | None = None
     search_budget: int | None = None
     decoder_limits: DecoderLimits = field(default_factory=DecoderLimits)
-    abort_fraction: float = 0.0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -64,7 +63,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentStats:
-    """Aggregates over the completed trials of one experiment."""
+    """Aggregates over the trials of one experiment."""
 
     mean_tv: float
     q50: float
@@ -75,7 +74,6 @@ class ExperimentStats:
     wall_time: float
     budget_hits: int
     tv_stderr: float
-    decoder_aborts: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "error_case_counts",
@@ -149,14 +147,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
 
     aborted = [row for row in rows if row[1] == "__aborted__"]
     if aborted:
-        if len(aborted) > cfg.abort_fraction * cfg.trials:
-            raise ExperimentAborted(
-                f"{len(aborted)}/{cfg.trials} trials exceeded the decoder search "
-                f"budget (first: {aborted[0][-1]}); shrink n, L, or the codebook, "
-                f"or, calling the library, raise ExperimentConfig.decoder_limits")
-        rows = [row for row in rows if row[1] != "__aborted__"]
-    if not rows:
-        raise ExperimentAborted("no trial completed within the decoder limits")
+        raise ExperimentAborted(
+            f"{len(aborted)}/{cfg.trials} trials exceeded the decoder search "
+            f"budget (first: {aborted[0][-1]}); shrink n, L, or the codebook, "
+            f"or, calling the library, raise ExperimentConfig.decoder_limits")
 
     tvs = np.array([row[0] for row in rows])
     counts = {label: 0 for label in CASE_LABELS}
@@ -171,8 +165,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         trials=len(rows),
         wall_time=time.perf_counter() - start,
         budget_hits=sum(1 for row in rows if row[2]),
-        tv_stderr=stderr,
-        decoder_aborts=len(aborted))
+        tv_stderr=stderr)
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -186,13 +179,3 @@ def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
     size = math.ceil(trials / pieces)
     return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
-
-def check_delta_coordination(stats: ExperimentStats, delta: float,
-                             confidence_slack: float = 3.0) -> str:
-    """Verdict on the fidelity criterion E[TV] <= delta.
-
-    Conservative by construction: the sample mean plus `confidence_slack`
-    standard errors must clear the radius, so a confidence band straddling
-    delta fails.
-    """
-    return "pass" if stats.mean_tv + confidence_slack * stats.tv_stderr <= delta else "fail"

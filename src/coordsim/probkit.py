@@ -47,28 +47,6 @@ def _check_probabilities(arr: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet; symbols are the integers 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.size)
-
-
-def _alphabet_size(alphabet: Alphabet | int) -> int:
-    size = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
-    if size < 1:
-        raise ValueError("alphabet size must be >= 1")
-    return size
-
-
-@dataclass(frozen=True)
 class Pmf:
     """Probability mass function over one finite alphabet."""
 
@@ -81,10 +59,6 @@ class Pmf:
     @property
     def size(self) -> int:
         return self.probs.shape[0]
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.size)
 
     @staticmethod
     def uniform(size: int) -> "Pmf":
@@ -115,9 +89,6 @@ class CondPmf:
     @property
     def out_size(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, symbol: int) -> Pmf:
-        return Pmf(self.rows[symbol])
 
     @staticmethod
     def identity(size: int) -> "CondPmf":
@@ -194,10 +165,6 @@ class JointType:
     def normalized(self) -> np.ndarray:
         return self.counts / self.n
 
-    @property
-    def pmf(self) -> JointPmf:
-        return JointPmf(self.normalized)
-
 
 ProbsLike = Pmf | CondPmf | JointPmf | JointType | np.ndarray
 
@@ -222,11 +189,10 @@ def _check_sequence(seq: np.ndarray, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def joint_type(x_seq, y_seq, x_alphabet: Alphabet | int, y_alphabet: Alphabet | int) -> JointType:
-    """Empirical joint type of (x_seq, y_seq): cell (a, b) holds
-    #{i : (x_i, y_i) = (a, b)} / n, kept as integer counts over n."""
-    sx = _alphabet_size(x_alphabet)
-    sy = _alphabet_size(y_alphabet)
+def joint_type(x_seq, y_seq, sx: int, sy: int) -> JointType:
+    """Empirical joint type of (x_seq, y_seq) over the alphabets 0..sx-1 and
+    0..sy-1: cell (a, b) holds #{i : (x_i, y_i) = (a, b)} / n, kept as
+    integer counts over n."""
     x = _check_sequence(x_seq, sx, "x_seq")
     y = _check_sequence(y_seq, sy, "y_seq")
     if x.size != y.size:

@@ -250,11 +250,28 @@ def parse_runspec(document: dict) -> RunSpec:
         region_delta_grid=tuple(float(d) for d in region["delta_grid"]) if region else None)
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: Python's json reads NaN and Infinity, and a float
+    literal past the double range (1e400) as inf; a spec takes none."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecError(f"spec number {text} is not finite")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    """JSON integer hook: an integer past the double range would overflow
+    where the spec converts it to float."""
+    _finite(text)
+    return int(text)
+
+
 def load_runspec(path: str) -> RunSpec:
     """Read, validate, and materialize a spec file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_float=_finite, parse_int=_finite_int,
+                                 parse_constant=_finite)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -14,7 +14,7 @@ Quantities:
 
 delta_t's exponent is in natural-log units, matching the e^{nR} codebook
 sizing used throughout; it may exceed 1, in which case any bound built from
-it is vacuous (and is clamped where a probability is returned).
+it is vacuous.
 """
 
 from __future__ import annotations
@@ -25,9 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .probkit import ProbsLike, ZERO_TOL, as_probs, entropy, mutual_information
+from .probkit import ProbsLike, ZERO_TOL, as_probs, entropy
 
 _EXP_OVERFLOW = 700.0
+
+
+def _bounded_exp(log_value: float) -> float:
+    return math.inf if log_value > _EXP_OVERFLOW else math.exp(log_value)
 
 
 def epsilon_m(j: ProbsLike, epsilon: float) -> float:
@@ -58,10 +62,7 @@ def delta_t(n: int, epsilon: float, sizes) -> float:
     k = 1
     for s in np.atleast_1d(np.asarray(sizes, dtype=np.int64)):
         k *= int(s)
-    log_value = k * math.log(n + 1) - n * epsilon * epsilon / (2.0 * k * k)
-    if log_value > _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(log_value)
+    return _bounded_exp(k * math.log(n + 1) - n * epsilon * epsilon / (2.0 * k * k))
 
 
 @lru_cache(maxsize=256)
@@ -121,47 +122,6 @@ def is_strongly_typical(x_seq, y_seq, j: ProbsLike, epsilon: float) -> bool:
     return counts_typical(counts, probs, x.size, epsilon)
 
 
-def is_marginally_typical(seq, p: ProbsLike, epsilon: float) -> bool:
-    """Single-sequence typicality: cell bound epsilon / alphabet size."""
-    probs = as_probs(p)
-    if probs.ndim != 1:
-        raise ValueError("is_marginally_typical requires a 1-d law")
-    x = np.asarray(seq, dtype=np.int64)
-    counts = np.bincount(x, minlength=probs.size)
-    return counts_typical(counts, probs, x.size, epsilon)
-
-
-def _bounded_exp(log_value: float) -> float:
-    return math.inf if log_value > _EXP_OVERFLOW else math.exp(log_value)
-
-
 def typical_set_size_bound(j: ProbsLike, n: int, epsilon: float) -> float:
     """Upper bound e^{n (H(X,Y) + eps_m)} on the joint typical set size."""
     return _bounded_exp(n * (entropy(j) + epsilon_m(j, epsilon)))
-
-
-def conditional_set_size_bound(j: ProbsLike, n: int, epsilon: float) -> float:
-    """Upper bound e^{n (H(Y|X) + eps_m)} on any conditional typical set."""
-    probs = as_probs(j)
-    if probs.ndim != 2:
-        raise ValueError("conditional_set_size_bound requires a 2-d joint law")
-    h_cond = entropy(probs) - entropy(probs.sum(axis=1))
-    return _bounded_exp(n * (h_cond + epsilon_m(probs, epsilon)))
-
-
-def hit_probability_lower_bound(j: ProbsLike, n: int, epsilon: float) -> float:
-    """Lower bound on the chance an independent product draw lands in the
-    conditional typical set: (1 - delta_t(n, eps/2)) e^{-n (I + 2 eps_m)},
-    clamped to [0, 1]."""
-    probs = as_probs(j)
-    if probs.ndim != 2:
-        raise ValueError("hit_probability_lower_bound requires a 2-d joint law")
-    dt = delta_t(n, epsilon / 2.0, probs.shape)
-    eps3 = 2.0 * epsilon_m(probs, epsilon)
-    value = (1.0 - dt) * _bounded_exp(-n * (mutual_information(probs) + eps3))
-    return min(max(value, 0.0), 1.0)
-
-
-def markov_lemma_bound(n: int, epsilon: float, sizes) -> float:
-    """Predicted success probability 1 - delta_t(n, eps/2, sizes) in [0, 1]."""
-    return min(max(1.0 - delta_t(n, epsilon / 2.0, sizes), 0.0), 1.0)

@@ -4,7 +4,8 @@ Each check AC1..AC9 re-derives its expected behaviour from scratch (dict
 counting, literal definitional tests, exhaustive enumeration, dense grids)
 and compares the library against it at the tolerances fixed below.  The
 pytest acceptance suite calls these same functions, and `coordsim verify`
-prints one line per criterion.
+prints one line per criterion.  The unit tests import the literal oracles
+and the boundary-tie guard from here, so each is written once.
 
 Everything here is seeded, so a pass is reproducible bit for bit; the one
 committed pilot value (the AC5 fidelity ceiling) is annotated where it is
@@ -66,19 +67,25 @@ def _result(criterion: str, start: float, passed: bool, detail: str) -> CheckRes
 
 
 def _all_sequences(size: int, n: int) -> np.ndarray:
+    """Every length-n sequence over 0..size-1, one per row."""
     return np.indices((size,) * n, dtype=np.int64).reshape(n, -1).T
 
 
+def _clear_of_ties(probs: np.ndarray, n: int, epsilon: float) -> bool:
+    """No frequency c/n lies within 1e-9 of a cell's strict boundary
+    p +- eps/#cells.
+
+    Constants used with float-arithmetic oracles must pass this, or oracle
+    and exact arithmetic could split at a tie.
+    """
+    freqs = np.arange(n + 1)[:, None] / n
+    return bool(np.abs(np.abs(freqs - probs.reshape(-1)) - epsilon / probs.size).min() >= 1e-9)
+
+
 def _assert_no_boundary_ties(probs: np.ndarray, n: int, epsilon: float) -> None:
-    """Constants used with float-arithmetic oracles must stay clear of the
-    strict-inequality boundary, or oracle and exact arithmetic could split."""
-    bound = epsilon / probs.size
-    counts = np.arange(n + 1)[:, None] / n
-    gaps = np.abs(np.abs(counts - probs.reshape(-1)[None, :]) - bound)
-    if gaps.min() < 1e-9:
-        raise RuntimeError(
-            f"test constants hit a typicality boundary (gap {gaps.min():.2e}); "
-            f"pick different cell probabilities")
+    if not _clear_of_ties(probs, n, epsilon):
+        raise RuntimeError(f"test constants hit a typicality boundary at n={n}, "
+                           f"eps={epsilon}; pick different cell probabilities")
 
 
 def _oracle_pair_typical(x: np.ndarray, y: np.ndarray, probs: np.ndarray,
@@ -403,13 +410,14 @@ def _oracle_books(specs) -> list[np.ndarray]:
 
 
 def _oracle_decode(bins, cfg, specs, books):
-    """Literal joint decoding: unfiltered action enumeration, float
-    typicality, exhaustive word tuples."""
+    """Literal joint decoding: every word tuple against every action
+    sequence, float typicality, no x-marginal pre-filter.  Returns the
+    matching word tuples and the emitted sequence."""
     num_agents = len(bins)
     n = specs[0].n
     words = specs[0].words_per_bin
     pair_sy = cfg.pair_src_out.probs
-    stacked_xs = [np.tile(x, num_agents) for x in _all_sequences(2, n)]
+    stacked_xs = [np.tile(x, num_agents) for x in _all_sequences(pair_sy.shape[0], n)]
     matches = []
     for v_tuple in itertools.product(range(words), repeat=num_agents):
         stacked_y = np.concatenate([books[l][bins[l] * words + v_tuple[l]]

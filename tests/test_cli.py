@@ -232,6 +232,29 @@ class TestRegionCommand:
         assert cli.cmd_region(spec_path, str(tmp_path / "r.csv")) == 2
 
 
+@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
+                         ids=["simulate", "region"])
+@pytest.mark.parametrize("path, literal", [
+    (("source", "p0", 0), "NaN"),
+    (("target", "p_y_given_x", 0, 0), "Infinity"),
+    (("region", "delta_grid", 1), "1e400"),
+    (("source", "p0", 0), "1" + "0" * 400),
+], ids=["nan-p0", "infinity-target", "overflow-delta-grid", "overflow-integer-p0"])
+def test_non_finite_number_exit_2(tmp_path, capsys, command, path, literal):
+    # json reads NaN and Infinity, 1e400 as inf, and a 401-digit integer as an
+    # int no float holds; the spec error names the number
+    document = base_spec()
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "__number__"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(document).replace('"__number__"', literal))
+    assert command(str(spec_path), str(tmp_path / "out.csv")) == 2
+    assert literal in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestVerifyCommand:
     def test_subset_passes(self, capsys):
         assert cli.cmd_verify(only=["AC4"]) == 0

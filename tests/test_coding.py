@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -12,15 +11,15 @@ from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DecoderLimits,
                              DirectSchemeConfig, EncodeResult, ErrorCase,
                              TrialInternals, _cell_counts, _first_unique,
-                             _one_hot, binned_specs, case_b_upper_bound,
-                             classify_error, codeword,
+                             _one_hot, binned_specs, classify_error,
                              codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
                               tv_distance)
 from coordsim.source import SourceConfig, draw_actions
-from coordsim.typicality import count_bounds, is_marginally_typical, is_strongly_typical
+from coordsim.typicality import count_bounds, counts_typical, is_strongly_typical
+from coordsim.verify import _all_sequences, _clear_of_ties, _oracle_books, _oracle_decode
 
 
 def direct_scheme(rate=0.35, slack=0.0, epsilon=0.5, obs_flip=0.2, aux_flip=0.3,
@@ -73,31 +72,29 @@ class TestCodebookSpec:
 class TestCodewords:
     def test_determinism(self):
         spec = CodebookSpec.direct(16, 0.3, 0.0, Pmf.uniform(2), 42, 0)
-        assert np.array_equal(codeword(spec, 3), codeword(spec, 3))
+        assert np.array_equal(codeword_block(spec, [3]), codeword_block(spec, [3]))
 
     def test_agents_get_distinct_books(self):
         a = CodebookSpec.direct(16, 0.3, 0.0, Pmf.uniform(2), 42, 0)
         b = CodebookSpec.direct(16, 0.3, 0.0, Pmf.uniform(2), 42, 1)
-        assert not np.array_equal(codeword(a, 0), codeword(b, 0))
+        assert not np.array_equal(codeword_block(a, [0]), codeword_block(b, [0]))
 
     def test_point_mass_output_constant(self):
         spec = CodebookSpec.direct(20, 0.2, 0.0, Pmf.point_mass(2, 1), 7, 0)
-        assert np.all(codeword(spec, 0) == 1)
+        assert np.all(codeword_block(spec, [0]) == 1)
 
     def test_index_bounds(self):
         spec = CodebookSpec.direct(8, 0.1, 0.0, Pmf.uniform(2), 7, 0)
-        with pytest.raises(IndexError):
-            codeword(spec, spec.num_bins)
-        with pytest.raises(IndexError):
-            codeword(spec, 0, 1)
+        for flat in (-1, spec.num_codewords):
+            with pytest.raises(IndexError):
+                codeword_block(spec, [flat])
 
     def test_block_matches_scalar(self):
         spec = CodebookSpec.binned(12, 0.2, 0.0, 0.1, 0.0, Pmf.uniform(2), 9, 2)
         flat = np.arange(spec.num_codewords)
         block = codeword_block(spec, flat)
         for k in flat:
-            w, v = divmod(int(k), spec.words_per_bin)
-            assert np.array_equal(block[k], codeword(spec, w, v))
+            assert np.array_equal(block[k], codeword_block(spec, [k])[0])
 
     def test_symbol_frequencies_match_generation_law(self):
         p_y = Pmf([0.3, 0.7])
@@ -118,9 +115,10 @@ class TestEncodeDirect:
             specs = direct_specs(cfg, src, seed)
             draw = draw_actions(src, seed, 0)
             result = encode_direct(draw.xhat_seqs[0], cfg, specs[0])
-            typical = [w for w in range(specs[0].num_codewords)
-                       if is_strongly_typical(draw.xhat_seqs[0], codeword(specs[0], w),
-                                              cfg.pair_obs_out, cfg.epsilon)]
+            book = codeword_block(specs[0], np.arange(specs[0].num_codewords))
+            typical = [w for w, y in enumerate(book)
+                       if is_strongly_typical(draw.xhat_seqs[0], y, cfg.pair_obs_out,
+                                              cfg.epsilon)]
             if typical:
                 assert result.found and result.w == typical[0]
                 assert result.search_cost == typical[0] + 1
@@ -322,7 +320,7 @@ class TestDecodeDirect:
         results = [EncodeResult(w=None, v=None, found=False, search_cost=1),
                    EncodeResult(w=2, v=0, found=True, search_cost=3),
                    EncodeResult(w=1, v=0, found=True, search_cost=2)]
-        assert np.array_equal(decode_direct(results, specs), codeword(specs[1], 2))
+        assert np.array_equal(decode_direct(results, specs), codeword_block(specs[1], [2])[0])
 
     def test_fallback_on_total_failure(self):
         cfg = direct_scheme(agents=2, rate=0.3, epsilon=0.5)
@@ -330,7 +328,7 @@ class TestDecodeDirect:
                            L=2, n=10)
         specs = direct_specs(cfg, src, 21)
         results = [EncodeResult(w=None, v=None, found=False, search_cost=8)] * 2
-        assert np.array_equal(decode_direct(results, specs), codeword(specs[0], 0, 0))
+        assert np.array_equal(decode_direct(results, specs), codeword_block(specs[0], [0])[0])
 
 
 class TestEncodeBinned:
@@ -342,13 +340,10 @@ class TestEncodeBinned:
             specs = binned_specs(cfg, src, seed)
             draw = draw_actions(src, seed, 0)
             result = encode_binned(draw.xhat_seqs[0], cfg, specs[0])
-            flat_hits = [
-                k for k in range(specs[0].num_codewords)
-                if is_strongly_typical(
-                    draw.xhat_seqs[0],
-                    codeword(specs[0], k // specs[0].words_per_bin,
-                             k % specs[0].words_per_bin),
-                    cfg.pair_obs_out, cfg.epsilon)]
+            book = codeword_block(specs[0], np.arange(specs[0].num_codewords))
+            flat_hits = [k for k, y in enumerate(book)
+                         if is_strongly_typical(draw.xhat_seqs[0], y, cfg.pair_obs_out,
+                                                cfg.epsilon)]
             if flat_hits:
                 assert result.found
                 assert (result.w, result.v) == divmod(flat_hits[0],
@@ -369,7 +364,7 @@ class TestDecodeBinned:
             assert result.matches_found in (0, 1)
             if result.matches_found == 1:
                 assert result.v_tuple == (0,)
-                assert np.array_equal(result.y_seq, codeword(specs[0], w, 0))
+                assert np.array_equal(result.y_seq, codeword_block(specs[0], [w])[0])
 
     def test_planted_unique_tuple_recovered(self):
         # tolerance tight enough that the 12-symbol stacked windows separate
@@ -377,17 +372,8 @@ class TestDecodeBinned:
         cfg = binned_scheme(epsilon=0.2)
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=6)
-        recovered = 0
-        for seed in range(60):
-            specs = binned_specs(cfg, src, seed)
-            result = decode_binned([0, 1], cfg, specs)
-            matches = _exhaustive_matches([0, 1], cfg, specs)
-            assert result.matches_found == len(matches)
-            if len(matches) == 1:
-                recovered += 1
-                assert result.v_tuple == matches[0]
-                assert np.array_equal(result.y_seq,
-                                      codeword(specs[0], 0, matches[0][0]))
+        recovered = sum(_assert_matches_literal([0, 1], cfg, binned_specs(cfg, src, seed)) == 1
+                        for seed in range(60))
         assert recovered > 0
 
     def test_collision_reports_ambiguity(self):
@@ -398,7 +384,7 @@ class TestDecodeBinned:
         result = decode_binned([0, 0], cfg, specs)
         assert result.matches_found > 1
         assert result.v_tuple is None
-        assert np.array_equal(result.y_seq, codeword(specs[0], 0, 0))
+        assert np.array_equal(result.y_seq, codeword_block(specs[0], [0])[0])
 
     def test_no_typical_action_emits_word_0_of_agent_0s_bin(self):
         # at n = 1 no count is strictly within 0.5 / 2 of n / 2, so no action
@@ -411,7 +397,8 @@ class TestDecodeBinned:
         result = decode_binned([2, 1], cfg, specs)
         assert result.matches_found == 0 and result.v_tuple is None
         assert result.y_seq.dtype == np.int64
-        assert np.array_equal(result.y_seq, codeword(specs[0], 2, 0))
+        word_0 = codeword_block(specs[0], [2 * specs[0].words_per_bin])[0]
+        assert np.array_equal(result.y_seq, word_0)
 
     def test_budget_limits_raise(self):
         cfg = binned_scheme()
@@ -429,8 +416,8 @@ class TestDecodeBinned:
     def test_candidate_cap_is_enumerated_search_size(self, sx, n, epsilon):
         law = np.random.default_rng(sx).random((sx, sx, 2))
         cfg, specs = _instance(law, epsilon, n, 2, 3, 7)
-        typical = sum(is_marginally_typical(x, cfg.p_x, epsilon)
-                      for x in itertools.product(range(sx), repeat=n))
+        typical = sum(counts_typical(np.bincount(x, minlength=sx), cfg.p_x, n, epsilon)
+                      for x in _all_sequences(sx, n))
         cap = typical * 3**2
         assert typical > 0
         decode_binned([0, 1], cfg, specs, DecoderLimits(max_candidates=cap))
@@ -444,34 +431,6 @@ class TestDecodeBinned:
             decode_binned([0, 1], cfg, specs, DecoderLimits(max_enumeration=3**7 - 1))
 
 
-def _exhaustive_matches(bins, cfg, specs):
-    """The literal joint decoder: every word tuple against every action
-    sequence, with no x-marginal pre-filter."""
-    sx = cfg.pair_src_out.shape[0]
-    n = specs[0].n
-    words = specs[0].words_per_bin
-    agents = len(bins)
-    matches = []
-    for v_tuple in itertools.product(range(words), repeat=agents):
-        stacked_y = np.concatenate([codeword(specs[l], bins[l], v_tuple[l])
-                                    for l in range(agents)])
-        if any(is_strongly_typical(np.tile(x, agents), stacked_y,
-                                   cfg.pair_src_out, cfg.epsilon)
-               for x in itertools.product(range(sx), repeat=n)):
-            matches.append(v_tuple)
-    return matches
-
-
-def _clear_of_ties(probs: np.ndarray, n: int, epsilon: float) -> bool:
-    """No count c/n sits within 1e-9 of a cell's strict boundary p +- eps/#cells.
-
-    The decoder's x-marginal test is implied by the stacked test in exact
-    arithmetic; only at such a tie could rounding in the float marginal
-    split it from the literal decoder, which has no marginal test."""
-    freqs = np.arange(n + 1)[:, None] / n
-    return bool(np.abs(np.abs(freqs - probs.reshape(-1)) - epsilon / probs.size).min() > 1e-9)
-
-
 def _instance(law, epsilon, n, agents, words, seed):
     triple = JointPmf(law / law.sum())
     cfg = BinnedSchemeConfig(rate_bin=0.1, slack_bin=0.0, rate_word=0.1, slack_word=0.0,
@@ -483,15 +442,21 @@ def _instance(law, epsilon, n, agents, words, seed):
 
 
 def _assert_matches_literal(bins, cfg, specs):
+    """decode_binned agrees with the literal decoder of the acceptance
+    checks; returns the number of matching word tuples.
+
+    The decoder's x-marginal test is implied by the stacked test in exact
+    arithmetic, so only a boundary tie could split it from the literal
+    decoder, which has no marginal test.
+    """
     n, agents = specs[0].n, len(bins)
     assert _clear_of_ties(cfg.pair_src_out.probs, n * agents, cfg.epsilon)
     assert _clear_of_ties(cfg.p_x.probs, n, cfg.epsilon)
     result = decode_binned(bins, cfg, specs)
-    matches = _exhaustive_matches(bins, cfg, specs)
+    matches, y_seq = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
     assert result.matches_found == len(matches)
-    chosen = matches[0] if len(matches) == 1 else None
-    assert result.v_tuple == chosen
-    assert np.array_equal(result.y_seq, codeword(specs[0], bins[0], chosen[0] if chosen else 0))
+    assert result.v_tuple == (matches[0] if len(matches) == 1 else None)
+    assert np.array_equal(result.y_seq, y_seq)
     return len(matches)
 
 
@@ -605,7 +570,8 @@ class TestTrials:
         specs = binned_specs(cfg, src, 13)
         for trial in range(20):
             draw = draw_actions(src, 13, trial)
-            ys = [codeword(specs[l], trial % 4, trial % 2) for l in range(3)]
+            flat = (trial % 4) * specs[0].words_per_bin + trial % 2
+            ys = [codeword_block(specs[l], [flat])[0] for l in range(3)]
             stacked = joint_type(np.tile(draw.x_seq, 3), np.concatenate(ys), 2, 2)
             summed = sum(joint_type(draw.x_seq, y, 2, 2).counts for y in ys)
             assert np.array_equal(stacked.counts, summed)
@@ -682,7 +648,7 @@ class TestTrials:
         # fallback from the store
         assert generated == [1, 1]
         assert outcome.y_seq.dtype == np.int64
-        assert np.array_equal(outcome.y_seq, codeword(specs[0], 0))
+        assert np.array_equal(outcome.y_seq, codeword_block(specs[0], [0])[0])
 
 
 class TestCaseAFrequency:
@@ -711,27 +677,3 @@ class TestCaseAFrequency:
         slack = 3.0 * math.sqrt(max(bound * (1 - min(bound, 1.0)), 1e-12) / trials)
         assert case_a / trials <= bound + slack
 
-
-class TestCaseBBound:
-    def test_literal_bound_vacuous_at_desk_scale(self):
-        cfg = direct_scheme(rate=0.25, slack=0.0, epsilon=0.2)
-        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.4),
-                           L=1, n=60)
-        assert case_b_upper_bound(cfg, src, predictive=False) == 1.0
-
-    def test_predictive_bound_dominates_monte_carlo(self):
-        triple = compose_markov(Pmf.uniform(2), CondPmf.binary_flip(0.4),
-                                CondPmf.binary_flip(0.4))
-        cfg = DirectSchemeConfig(rates=(0.25,), slacks=(0.0,), epsilon=0.2,
-                                 triple=triple)
-        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.4),
-                           L=1, n=60)
-        bound = case_b_upper_bound(cfg, src, predictive=True)
-        assert bound < 0.5
-        specs = direct_specs(cfg, src, 909)
-        trials = 300
-        case_b = sum(
-            run_direct_trial(src, cfg, specs, 909, t, budget=20_000).error_case
-            is ErrorCase.B for t in range(trials))
-        slack = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-        assert case_b / trials <= bound + slack

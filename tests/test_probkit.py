@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coordsim.probkit import (Alphabet, CondPmf, JointPmf, JointType, Pmf,
+from coordsim.probkit import (CondPmf, JointPmf, JointType, Pmf,
                               compose_markov, conditional_mutual_information,
                               entropy, joint_type, mutual_information,
                               tv_distance)
@@ -18,7 +18,7 @@ def binary_entropy(p):
 class TestTypes:
     def test_alphabet_rejects_empty(self):
         with pytest.raises(ValueError):
-            Alphabet(0)
+            joint_type([0], [0], 0, 2)
 
     def test_pmf_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -86,10 +86,6 @@ class TestJointType:
                         expected[xi, yi] += 1
                     assert np.array_equal(jt.counts, expected)
                     assert jt.counts.sum() == n
-
-    def test_accepts_alphabet_objects(self):
-        jt = joint_type([0, 1], [1, 0], Alphabet(2), Alphabet(2))
-        assert jt.n == 2
 
 
 class TestTotalVariation:
