@@ -15,11 +15,11 @@ from .typicality import (count_bounds, delta_t, epsilon_m, is_strongly_typical,
                          typical_set_size_bound)
 from .source import ActionDraw, SourceConfig, draw_actions
 from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
-                     DecoderBudgetExceeded, DecoderLimits, DirectSchemeConfig,
-                     EncodeResult, ErrorCase, TrialInternals, TrialOutcome,
-                     classify_error, codeword_block, decode_binned,
-                     decode_direct, encode_binned, encode_direct,
-                     run_binned_trial, run_direct_trial)
+                     DecoderBudgetExceeded, DirectSchemeConfig, EncodeResult,
+                     ErrorCase, TrialInternals, TrialOutcome, classify_error,
+                     codeword_block, decode_binned, decode_direct,
+                     encode_binned, encode_direct, run_binned_trial,
+                     run_direct_trial)
 from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
                      induced_target, min_achievable_delta,
                      min_finite_agent_rate, min_per_agent_rate, per_agent_rate,
@@ -39,7 +39,7 @@ __all__ = [
     "SourceConfig", "ActionDraw", "draw_actions",
     "CodebookSpec", "DirectSchemeConfig", "BinnedSchemeConfig",
     "EncodeResult", "TrialOutcome", "TrialInternals", "ErrorCase",
-    "DecoderLimits", "DecoderBudgetExceeded", "BinnedDecodeResult",
+    "DecoderBudgetExceeded", "BinnedDecodeResult",
     "codeword_block", "encode_direct", "decode_direct",
     "encode_binned", "decode_binned", "classify_error",
     "run_direct_trial", "run_binned_trial",

@@ -55,11 +55,18 @@ _SCAN_BATCH_MAX = 8192
 _PREFIX_CAP_BYTES = 16 * 2**20
 
 
+# the most word-tuple positions (words^L * n), and the most dynamic-program
+# states one step may grow, that decode_binned takes on; a decode near
+# either bound peaks at about 0.5 GB
+DECODE_WORK_CAP = 2**22
+
+
 class DecoderBudgetExceeded(RuntimeError):
-    """The exhaustive joint decoder would exceed its configured search size.
+    """The joint decoder's work on this instance would pass DECODE_WORK_CAP.
 
     Distinct from a modeled decoding error: it means the instance is too
-    large to decode faithfully, not that the code failed.
+    large to decode faithfully, not that the code failed.  The work counts
+    depend only on the decoder's inputs, so a refusal replays exactly.
     """
 
 
@@ -299,23 +306,6 @@ class EncodeResult:
 
 
 @dataclass(frozen=True)
-class DecoderLimits:
-    """Hard caps on the joint decoder's instance size.
-
-    The caps price the exhaustive search over (action sequence, word tuple)
-    pairs even though decode_binned no longer enumerates either:
-    max_enumeration bounds |X|^n, and max_candidates bounds the number of
-    x-marginally typical action sequences times words^L.  An instance past
-    any cap raises DecoderBudgetExceeded.
-    """
-
-    max_n: int = 12
-    max_agents: int = 4
-    max_enumeration: int = 1_048_576
-    max_candidates: int = 2_000_000
-
-
-@dataclass(frozen=True)
 class BinnedDecodeResult:
     """Joint-decoder outcome: how many word tuples matched, which one (if
     unique), and the emitted sequence (fallback when not unique)."""
@@ -492,61 +482,65 @@ def _first_unique(rows, radices) -> np.ndarray:
 
 
 def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
-                         hi: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
+                         hi: np.ndarray) -> np.ndarray:
     """Which column-class histograms admit an action assignment that puts
-    the stacked count table inside [lo, hi] and its row sums inside
-    [row_lo, row_hi].
+    the stacked count table inside [lo, hi].
 
     hists[h, j] positions carry the column class classes[j] (per output
     symbol, how many agents emit it).  Giving m[j, a] of those positions
-    action a adds m[j, a] * classes[j] to row a of the table and
-    m[j, a] * L to its row sum.  A dynamic program over all classes but the
-    last carries every reachable (histogram, table) state, drops states
-    already above a bound (counts only grow) and merges duplicates.  For the
-    last class each bound confines one m[a] to an interval, so a state is
-    feasible iff those intervals admit the class's count as a sum.  The
-    rarest classes go first, which keeps the state count small and leaves
-    the most common class to the closed-form step.
+    action a adds m[j, a] * classes[j] to row a of the table.  A dynamic
+    program over all classes but the last carries every reachable
+    (histogram, table) state, drops states already above a bound (counts
+    only grow) and merges duplicates.  For the last class each bound
+    confines one m[a] to an interval, so a state is feasible iff those
+    intervals admit the class's count as a sum.  The rarest classes go
+    first, which keeps the state count small and leaves the most common
+    class to the closed-form step.
+
+    Raises DecoderBudgetExceeded before a step would grow more than
+    DECODE_WORK_CAP states: a state with t positions of the class to place
+    grows into one state per composition of t into |X| parts.
     """
     sx, sy = lo.shape
     order = np.argsort(hists.sum(axis=0), kind="stable")
     hists, classes = hists[:, order], classes[order]
-    # a state is one column of an (sx, sy + 1) table: row a holds the
-    # stacked counts of action a, then their sum; coef[j] is what one
-    # position of class j adds to the row of the action it receives
-    coef = np.column_stack([classes, classes.sum(axis=1)])
     owner = np.arange(hists.shape[0])
     # entries stay below 2nL: a bound (at most nL) plus one step (at most nL)
-    n_l = int(hists[0].sum()) * int(coef[0, -1])
+    n_l = int(hists[0].sum()) * int(classes[0].sum())
     dtype = np.int16 if 2 * n_l < 2**15 else np.int64
-    states = np.zeros((sx, sy + 1, owner.size), dtype=dtype)
-    low = np.column_stack([lo, row_lo]).astype(dtype)[:, :, None]
-    high = np.column_stack([hi, row_hi]).astype(dtype)[:, :, None]
-    # the row sums follow from the counts, so only the counts enter the key
+    states = np.zeros((sx, sy, owner.size), dtype=dtype)
+    low, high = lo.astype(dtype)[:, :, None], hi.astype(dtype)[:, :, None]
     radices = [owner.size] + [int(h) + 1 for h in hi.reshape(-1)]
-    for j in range(coef.shape[0] - 1):
+    for j in range(classes.shape[0] - 1):
         need = hists[owner, j]
+        ts, rows_per_t = np.unique(need, return_counts=True)
+        grown_size = sum(int(c) * math.comb(int(t) + sx - 1, sx - 1)
+                         for t, c in zip(ts, rows_per_t))
+        if grown_size > DECODE_WORK_CAP:
+            raise DecoderBudgetExceeded(
+                f"a decoder step of {grown_size} states exceeds the work bound "
+                f"{DECODE_WORK_CAP}")
         grown_owner, grown = [], []
-        for t in np.unique(need):
+        for t in ts:
             rows = np.flatnonzero(need == t)
             split = _compositions(int(t), sx)
-            step = (split.T[:, None, :] * coef[j][None, :, None]).astype(dtype)
-            grown.append((states[:, :, rows, None] + step[:, :, None, :]).reshape(sx, sy + 1, -1))
+            step = (split.T[:, None, :] * classes[j][None, :, None]).astype(dtype)
+            grown.append((states[:, :, rows, None] + step[:, :, None, :]).reshape(sx, sy, -1))
             grown_owner.append(np.repeat(owner[rows], split.shape[0]))
         states, owner = np.concatenate(grown, axis=2), np.concatenate(grown_owner)
         keep = np.flatnonzero(np.all(states <= high, axis=(0, 1)))
         if not keep.size:
             return np.zeros(hists.shape[0], dtype=bool)
-        keep = keep[_first_unique([owner[keep], *states[:, :sy, keep].reshape(sx * sy, -1)],
+        keep = keep[_first_unique([owner[keep], *states[:, :, keep].reshape(sx * sy, -1)],
                                   radices)]
         states, owner = states[:, :, keep], owner[keep]
 
-    # the last class: m[a] * coef must fit between the state and the bounds
+    # the last class: m[a] * classes[-1] must fit between the state and the bounds
     total = hists[owner, -1]
-    moving = coef[-1] > 0
+    moving = classes[-1] > 0
     fixed = states[:, ~moving]
     ok = np.all((fixed >= low[:, ~moving]) & (fixed <= high[:, ~moving]), axis=(0, 1))
-    free, step = states[:, moving], coef[-1][moving].astype(dtype)[None, :, None]
+    free, step = states[:, moving], classes[-1][moving].astype(dtype)[None, :, None]
     m_lo = np.maximum(-((free - low[:, moving]) // step).min(axis=1), 0)
     m_hi = np.minimum(((high[:, moving] - free) // step).min(axis=1), total)
     ok &= (np.all(m_lo <= m_hi, axis=0) & (m_lo.sum(axis=0, dtype=np.int64) <= total)
@@ -556,16 +550,14 @@ def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
     return feasible
 
 
-def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
-                  limits: DecoderLimits | None = None) -> BinnedDecodeResult:
+def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs) -> BinnedDecodeResult:
     """Joint decoding from the received bin numbers.
 
     Finds every word tuple (one word per agent's bin) for which some action
-    sequence makes the stacked length-nL pair jointly typical and marginally
-    typical for the design action law; the tuple must be unique, the
-    witnessing action sequence need not be.  (Stacked joint typicality
-    implies that marginal typicality, so the second test only repeats the
-    first in exact arithmetic.)
+    sequence makes the stacked length-nL pair jointly typical; the tuple
+    must be unique, the witnessing action sequence need not be.  The
+    result is exactly that of the literal decoder the acceptance checks
+    run (verify._oracle_decode).
 
     No action sequence is enumerated: the stacked counts depend on the
     sequence only through how many positions of each column class (how many
@@ -573,41 +565,22 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
     is decided by its class histogram, and one dynamic program decides all
     histograms at once (see _feasible_histograms).
 
-    Raises DecoderBudgetExceeded when the instance exceeds the configured
-    caps, which still price the search as the exhaustive one it replaces.
+    Raises DecoderBudgetExceeded, before allocating, when the word-tuple
+    table (words^L * n positions) or one step of the dynamic program would
+    pass DECODE_WORK_CAP.
     """
-    limits = limits or DecoderLimits()
     bins = [int(w) for w in bin_indices]
     num_agents = len(bins)
     n = specs[0].n
     words = specs[0].words_per_bin
     if any(s.n != n or s.words_per_bin != words for s in specs):
         raise ValueError("agent codebooks must share blocklength and bin size")
-    sx, sy = cfg.pair_src_out.shape
-
-    if n > limits.max_n:
-        raise DecoderBudgetExceeded(f"blocklength {n} exceeds decoder cap {limits.max_n}")
-    if num_agents > limits.max_agents:
-        raise DecoderBudgetExceeded(f"{num_agents} agents exceed decoder cap {limits.max_agents}")
-    if sx**n > limits.max_enumeration:
+    sy = cfg.pair_src_out.shape[1]
+    num_tuples = words**num_agents
+    if num_tuples * n > DECODE_WORK_CAP:
         raise DecoderBudgetExceeded(
-            f"action enumeration {sx}^{n} exceeds cap {limits.max_enumeration}")
-
-    # the number of x-marginally typical sequences, summed over their types
-    lo_x, hi_x = count_bounds(cfg.p_x, n, cfg.epsilon)
-    x_types = _compositions(n, sx)
-    x_types = x_types[np.all((x_types >= lo_x) & (x_types <= hi_x), axis=1)]
-    typical_x = sum(math.factorial(n) // math.prod(math.factorial(int(c)) for c in t)
-                    for t in x_types)
-    search_size = typical_x * words**num_agents
-    if search_size > limits.max_candidates:
-        raise DecoderBudgetExceeded(
-            f"search over {search_size} (action, word-tuple) pairs exceeds cap "
-            f"{limits.max_candidates}")
-
-    if typical_x == 0:
-        return BinnedDecodeResult(matches_found=0, v_tuple=None,
-                                  y_seq=specs[0]._word(bins[0] * words))
+            f"{words}^{num_agents} word tuples of {n} positions exceed the work bound "
+            f"{DECODE_WORK_CAP}")
 
     # the column class of every (word tuple, position), one agent at a time:
     # a class is a count vector over output symbols, and an agent emitting
@@ -622,15 +595,13 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs,
                                    axis=0, return_inverse=True)
         column_class = moved.reshape(-1)[column_class[:, None] * sy + book].reshape(-1, n)
     present, column_class = np.unique(column_class, return_inverse=True)
-    num_tuples = words**num_agents
     hist = np.bincount((np.arange(num_tuples)[:, None] * present.size
                         + column_class.reshape(num_tuples, n)).reshape(-1),
                        minlength=num_tuples * present.size).reshape(num_tuples, -1)
     hists, tuple_hist = np.unique(hist, axis=0, return_inverse=True)
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
-    feasible = _feasible_histograms(hists, classes[present], lo, hi,
-                                    num_agents * lo_x, num_agents * hi_x)
+    feasible = _feasible_histograms(hists, classes[present], lo, hi)
     matches = np.flatnonzero(feasible[tuple_hist.reshape(-1)])
     if matches.size == 1:
         chosen = tuple(int(v) for v in np.unravel_index(matches[0], (words,) * num_agents))
@@ -708,14 +679,13 @@ def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
 
 def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
                      seed: int, trial_index: int, budget: int | None = None,
-                     limits: DecoderLimits | None = None,
                      report_target: JointPmf | None = None) -> TrialOutcome:
     """One binned-scheme trial: joint decoding runs only when every agent's
     encoder succeeded."""
     def decode(results):
         if not all(r.found for r in results):
             return specs[0]._word(0), None
-        out = decode_binned([r.w for r in results], cfg, specs, limits)
+        out = decode_binned([r.w for r in results], cfg, specs)
         return out.y_seq, out.matches_found
 
     return _run_trial("binned", decode, source_cfg, cfg, specs, seed, trial_index,

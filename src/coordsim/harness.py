@@ -13,15 +13,15 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DecoderLimits,
-                     DirectSchemeConfig, ErrorCase, binned_specs, direct_specs,
-                     run_binned_trial, run_direct_trial)
+from .coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
+                     ErrorCase, binned_specs, direct_specs, run_binned_trial,
+                     run_direct_trial)
 from .probkit import JointPmf
 from .source import SourceConfig
 
@@ -29,7 +29,8 @@ CASE_LABELS = tuple(case.value for case in ErrorCase)
 
 
 class ExperimentAborted(RuntimeError):
-    """Raised when a trial's decoder instance exceeds the decoder limits."""
+    """Raised at the first trial whose decoder instance passes the decoder's
+    work bound (coding.DECODE_WORK_CAP); the message names that trial."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class ExperimentConfig:
     delta: float
     target: JointPmf | None = None
     search_budget: int | None = None
-    decoder_limits: DecoderLimits = field(default_factory=DecoderLimits)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -115,17 +115,17 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
     else:
         def runner(t):
             return run_binned_trial(cfg.source, cfg.scheme, specs, cfg.seed, t,
-                                    budget=cfg.search_budget, limits=cfg.decoder_limits,
-                                    report_target=cfg.target)
+                                    budget=cfg.search_budget, report_target=cfg.target)
 
     rows = []
     for t in range(lo, hi):
         try:
             outcome = runner(t)
-            rows.append((outcome.tv_realized, outcome.error_case.value,
-                         outcome.budget_hit, outcome.search_cost))
         except DecoderBudgetExceeded as exc:
-            rows.append((math.nan, "__aborted__", False, 0, str(exc)))
+            raise ExperimentAborted(f"trial {t} of {cfg.trials}: {exc}; shrink n, L, "
+                                    f"or the codebook") from exc
+        rows.append((outcome.tv_realized, outcome.error_case.value,
+                     outcome.budget_hit, outcome.search_cost))
     return rows
 
 
@@ -133,24 +133,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
     """Execute cfg.trials independent trials and aggregate.
 
     Statistics are computed in trial order regardless of how blocks are
-    scheduled, so any worker count yields identical results.
+    scheduled, so any worker count yields identical results.  A decoder
+    refusal raises ExperimentAborted naming the first refused trial: each
+    block stops at its first, and blocks are read in trial order.
     """
     start = time.perf_counter()
     blocks = _split_blocks(cfg.trials, workers)
     if workers <= 1 or len(blocks) <= 1:
         results = [_run_block(cfg, lo, hi) for lo, hi in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             results = list(pool.map(_run_block, itertools.repeat(cfg),
                                     [b[0] for b in blocks], [b[1] for b in blocks]))
+        finally:
+            # an abort leaves no block worth starting
+            pool.shutdown(cancel_futures=True)
     rows = [row for block in results for row in block]
-
-    aborted = [row for row in rows if row[1] == "__aborted__"]
-    if aborted:
-        raise ExperimentAborted(
-            f"{len(aborted)}/{cfg.trials} trials exceeded the decoder search "
-            f"budget (first: {aborted[0][-1]}); shrink n, L, or the codebook, "
-            f"or, calling the library, raise ExperimentConfig.decoder_limits")
 
     tvs = np.array([row[0] for row in rows])
     counts = {label: 0 for label in CASE_LABELS}

@@ -178,6 +178,23 @@ def _stochastic_matrix(raw, rows: int, cols: int, what: str) -> CondPmf:
     return CondPmf(arr)
 
 
+def _non_finite_path(node, path: str = "") -> str | None:
+    """The path (as in region.delta_grid[1]) of the first NaN or infinite
+    float in a decoded JSON document, or None."""
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}" if path else str(key), child)
+                    for key, child in node.items())
+    elif isinstance(node, list):
+        children = ((f"{path}[{k}]", child) for k, child in enumerate(node))
+    else:
+        return path if isinstance(node, float) and not math.isfinite(node) else None
+    for child_path, child in children:
+        found = _non_finite_path(child, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def parse_runspec(document: dict) -> RunSpec:
     """Validate a spec document and build the library objects it describes."""
     import jsonschema
@@ -187,6 +204,9 @@ def parse_runspec(document: dict) -> RunSpec:
     except jsonschema.ValidationError as exc:
         raise SpecError(f"spec schema violation at {list(exc.absolute_path)}: "
                         f"{exc.message}") from exc
+    bad = _non_finite_path(document)
+    if bad is not None:
+        raise SpecError(f"{bad} is not a finite number")
 
     x_size = document["alphabets"]["x_size"]
     y_size = document["alphabets"]["y_size"]

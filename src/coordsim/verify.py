@@ -411,8 +411,8 @@ def _oracle_books(specs) -> list[np.ndarray]:
 
 def _oracle_decode(bins, cfg, specs, books):
     """Literal joint decoding: every word tuple against every action
-    sequence, float typicality, no x-marginal pre-filter.  Returns the
-    matching word tuples and the emitted sequence."""
+    sequence, float typicality.  Returns the matching word tuples and the
+    emitted sequence."""
     num_agents = len(bins)
     n = specs[0].n
     words = specs[0].words_per_bin

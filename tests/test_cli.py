@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestRunSpecParsing:
         document = base_spec()
         del document["target"]
         with pytest.raises(SpecError):
+            parse_runspec(document)
+
+    @pytest.mark.parametrize("section, key, values, field", [
+        ("region", "delta_grid", [0.0, float("inf")], "region.delta_grid[1]"),
+        ("experiment", "delta_list", [float("nan")], "experiment.delta_list[0]"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_number_rejected(self, section, key, values, field):
+        document = base_spec()
+        document[section][key] = values
+        with pytest.raises(SpecError, match=f"^{re.escape(field)} is not a finite number$"):
             parse_runspec(document)
 
     def test_non_stochastic_matrix_rejected(self):
@@ -156,10 +167,12 @@ class TestSimulateCommand:
 
     def test_decoder_limit_exit_3(self, tmp_path):
         document = base_spec()
-        document["scheme"] = {"kind": "binned", "rates": [0.25, 0.15],
+        # a word rate of 0.5 at n = 30 puts e^15 words in each bin, so the
+        # decoder's word-tuple table would pass its work bound
+        document["scheme"] = {"kind": "binned", "rates": [0.25, 0.5],
                               "epsilons": {"typicality": 0.4, "ag": 0.0,
                                            "zero": 0.0}}
-        document["experiment"]["n_list"] = [30]  # beyond the decoder cap
+        document["experiment"]["n_list"] = [30]
         spec_path = write_spec(tmp_path, document)
         assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 3
 

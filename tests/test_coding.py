@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from coordsim import coding, rng
 from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
-                             DecoderBudgetExceeded, DecoderLimits,
-                             DirectSchemeConfig, EncodeResult, ErrorCase,
-                             TrialInternals, _cell_counts, _first_unique,
+                             DecoderBudgetExceeded, DirectSchemeConfig,
+                             EncodeResult, ErrorCase, TrialInternals,
+                             _cell_counts, _first_unique,
                              _one_hot, binned_specs, classify_error,
                              codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
@@ -18,8 +18,8 @@ from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
                               tv_distance)
 from coordsim.source import SourceConfig, draw_actions
-from coordsim.typicality import count_bounds, counts_typical, is_strongly_typical
-from coordsim.verify import _all_sequences, _clear_of_ties, _oracle_books, _oracle_decode
+from coordsim.typicality import count_bounds, is_strongly_typical
+from coordsim.verify import _clear_of_ties, _oracle_books, _oracle_decode
 
 
 def direct_scheme(rate=0.35, slack=0.0, epsilon=0.5, obs_flip=0.2, aux_flip=0.3,
@@ -387,8 +387,9 @@ class TestDecodeBinned:
         assert np.array_equal(result.y_seq, codeword_block(specs[0], [0])[0])
 
     def test_no_typical_action_emits_word_0_of_agent_0s_bin(self):
-        # at n = 1 no count is strictly within 0.5 / 2 of n / 2, so no action
-        # sequence is typical and the decoder returns before any bin block
+        # at n = 1 the stacked pair has length 2, and no count c puts c / 2
+        # strictly within 0.5 / 4 of its cell's probability (0.31 or 0.19),
+        # so no word tuple matches
         cfg = binned_scheme(epsilon=0.5, n=1)
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=1)
@@ -400,35 +401,26 @@ class TestDecodeBinned:
         word_0 = codeword_block(specs[0], [2 * specs[0].words_per_bin])[0]
         assert np.array_equal(result.y_seq, word_0)
 
-    def test_budget_limits_raise(self):
-        cfg = binned_scheme()
-        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
-                           L=2, n=6)
-        specs = binned_specs(cfg, src, 5)
-        with pytest.raises(DecoderBudgetExceeded):
-            decode_binned([0, 0], cfg, specs, DecoderLimits(max_n=4))
-        with pytest.raises(DecoderBudgetExceeded):
-            decode_binned([0, 0], cfg, specs, DecoderLimits(max_agents=1))
-        with pytest.raises(DecoderBudgetExceeded):
-            decode_binned([0, 0], cfg, specs, DecoderLimits(max_candidates=1))
+    def test_word_tuples_past_the_bound_refused_before_any_codeword(self, monkeypatch):
+        # 2048^2 word tuples of 2 positions: twice DECODE_WORK_CAP
+        cfg, specs = _instance(np.ones((2, 2, 2)), 0.5, 2, 2, 2048, 7)
+        assert 2048**2 * 2 > coding.DECODE_WORK_CAP
 
-    @pytest.mark.parametrize("sx, n, epsilon", [(2, 10, 0.6), (3, 6, 1.1)])
-    def test_candidate_cap_is_enumerated_search_size(self, sx, n, epsilon):
-        law = np.random.default_rng(sx).random((sx, sx, 2))
-        cfg, specs = _instance(law, epsilon, n, 2, 3, 7)
-        typical = sum(counts_typical(np.bincount(x, minlength=sx), cfg.p_x, n, epsilon)
-                      for x in _all_sequences(sx, n))
-        cap = typical * 3**2
-        assert typical > 0
-        decode_binned([0, 1], cfg, specs, DecoderLimits(max_candidates=cap))
-        with pytest.raises(DecoderBudgetExceeded, match=f"search over {cap} "):
-            decode_binned([0, 1], cfg, specs, DecoderLimits(max_candidates=cap - 1))
+        def no_codewords(spec, flat):
+            raise AssertionError("the refused decoder read a codeword")
 
-    def test_enumeration_cap_boundary(self):
-        cfg, specs = _instance(np.ones((3, 3, 2)), 0.5, 7, 2, 2, 7)
-        decode_binned([0, 1], cfg, specs, DecoderLimits(max_enumeration=3**7))
-        with pytest.raises(DecoderBudgetExceeded, match=r"action enumeration 3\^7 exceeds"):
-            decode_binned([0, 1], cfg, specs, DecoderLimits(max_enumeration=3**7 - 1))
+        monkeypatch.setattr(coding, "codeword_block", no_codewords)
+        with pytest.raises(DecoderBudgetExceeded, match=r"2048\^2 word tuples of 2 positions"):
+            decode_binned([0, 1], cfg, specs)
+
+    def test_dynamic_program_states_past_the_bound_refused(self, monkeypatch):
+        # 3^2 word tuples of 16 positions pass a bound of 145, yet the first
+        # step of the dynamic program would grow more states than that
+        cfg, specs = _instance(np.ones((2, 2, 2)), 2.5, 16, 2, 3, 7)
+        decode_binned([0, 1], cfg, specs)
+        monkeypatch.setattr(coding, "DECODE_WORK_CAP", 3**2 * 16 + 1)
+        with pytest.raises(DecoderBudgetExceeded, match="states exceeds the work bound 145"):
+            decode_binned([0, 1], cfg, specs)
 
 
 def _instance(law, epsilon, n, agents, words, seed):
@@ -443,15 +435,9 @@ def _instance(law, epsilon, n, agents, words, seed):
 
 def _assert_matches_literal(bins, cfg, specs):
     """decode_binned agrees with the literal decoder of the acceptance
-    checks; returns the number of matching word tuples.
-
-    The decoder's x-marginal test is implied by the stacked test in exact
-    arithmetic, so only a boundary tie could split it from the literal
-    decoder, which has no marginal test.
-    """
+    checks; returns the number of matching word tuples."""
     n, agents = specs[0].n, len(bins)
     assert _clear_of_ties(cfg.pair_src_out.probs, n * agents, cfg.epsilon)
-    assert _clear_of_ties(cfg.p_x.probs, n, cfg.epsilon)
     result = decode_binned(bins, cfg, specs)
     matches, y_seq = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
     assert result.matches_found == len(matches)
@@ -460,11 +446,12 @@ def _assert_matches_literal(bins, cfg, specs):
     return len(matches)
 
 
-# (|X|, |Y|, n, agents, words): n <= 10 binary and n <= 7 ternary, plus a
-# 3x3 case with four agents and a 4x4 case
+# (|X|, |Y|, n, agents, words): binary up to n = 16 and ternary up to n = 7,
+# plus a 3x3 case with four agents and a 4x4 case
 _LITERAL_CASES = [(2, 2, 10, 1, 4), (2, 2, 10, 2, 2), (2, 3, 9, 2, 3), (2, 2, 8, 3, 4),
                   (2, 3, 7, 3, 3), (3, 2, 7, 1, 4), (3, 3, 7, 2, 2), (3, 3, 6, 3, 2),
-                  (3, 2, 5, 3, 4), (3, 3, 5, 4, 2), (4, 4, 5, 3, 2)]
+                  (3, 2, 5, 3, 4), (3, 3, 5, 4, 2), (4, 4, 5, 3, 2),
+                  (2, 2, 13, 2, 3), (2, 2, 14, 3, 2), (2, 3, 15, 1, 3), (2, 2, 16, 2, 2)]
 
 
 def test_first_unique_packs_wide_rows_into_several_keys():
@@ -506,13 +493,12 @@ class TestDecodeBinnedLiteral:
            epsilon=st.floats(0.05, 3.0), seed=st.integers(0, 2**31 - 1))
     def test_property_matches_literal_decoder(self, data, sx, sy, agents, words,
                                               epsilon, seed):
-        n = data.draw(st.integers(1, 8 if sx == 2 else 5))
+        n = data.draw(st.integers(1, 16 if sx == 2 else 5))
         weight = st.one_of(st.floats(1e-6, 1e-3), st.floats(0.05, 1.0))
         law = np.array(data.draw(st.lists(weight, min_size=sx * sx * sy,
                                           max_size=sx * sx * sy))).reshape(sx, sx, sy)
         cfg, specs = _instance(law, epsilon, n, agents, words, seed)
         assume(_clear_of_ties(cfg.pair_src_out.probs, n * agents, epsilon))
-        assume(_clear_of_ties(cfg.p_x.probs, n, epsilon))
         bins = data.draw(st.lists(st.integers(0, 2), min_size=agents, max_size=agents))
         _assert_matches_literal(bins, cfg, specs)
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordsim import coding, harness
-from coordsim.coding import (BinnedSchemeConfig, DecoderLimits,
-                             DirectSchemeConfig, EncodeResult, ErrorCase,
-                             codeword_block, decode_direct, direct_specs)
+from coordsim.coding import (BinnedSchemeConfig, DirectSchemeConfig,
+                             EncodeResult, ErrorCase, codeword_block,
+                             decode_direct, direct_specs)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
                               ExperimentStats, _run_block, _split_blocks,
                               run_experiment)
@@ -31,17 +31,16 @@ def direct_config(n=40, L=1, trials=50, seed=11, rate=None, epsilon=0.3,
                             search_budget=budget)
 
 
-def binned_config(n=6, L=2, trials=30, seed=5, epsilon=0.5,
-                  limits=DecoderLimits()):
+def binned_config(n=6, L=2, trials=30, seed=5, epsilon=0.5, words=2.6, budget=None):
     p0 = Pmf.uniform(2)
     obs = CondPmf.binary_flip(0.2)
     triple = compose_markov(p0, obs, CondPmf.binary_flip(0.3))
     scheme = BinnedSchemeConfig(rate_bin=math.log(4.3) / n, slack_bin=0.0,
-                                rate_word=math.log(2.6) / n, slack_word=0.0,
+                                rate_word=math.log(words) / n, slack_word=0.0,
                                 epsilon=epsilon, triple=triple)
     return ExperimentConfig(source=SourceConfig(p0=p0, obs_channel=obs, L=L, n=n),
                             scheme=scheme, trials=trials, seed=seed, delta=0.3,
-                            decoder_limits=limits)
+                            search_budget=budget)
 
 
 def strip_timing(stats: ExperimentStats) -> ExperimentStats:
@@ -194,10 +193,18 @@ class TestRunExperiment:
         assert counts[ErrorCase.NONE.value] + counts[ErrorCase.A.value] == 40
         assert stats.q50 <= scheme.epsilon / 2
 
-    def test_decoder_abort_raises(self):
-        cfg = binned_config(limits=DecoderLimits(max_candidates=1))
-        with pytest.raises(ExperimentAborted):
-            run_experiment(cfg)
+    def test_decoder_abort_names_the_first_refused_trial(self):
+        # 3000^2 word tuples of 6 positions pass the decoder's work bound, so
+        # the first trial whose encoders both succeed within the budget
+        # aborts the run, whichever block of which worker reaches it
+        cfg = binned_config(trials=40, words=3000, budget=20)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ExperimentAborted) as caught:
+                run_experiment(cfg, workers=workers)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("trial 22 of 40: 3000^2 word tuples")
 
     def test_validation(self):
         with pytest.raises(ValueError):
