@@ -8,7 +8,7 @@ sequences to a target law, and computes the inner-bound rate regions (exact
 and within a total-variation radius) those schemes achieve.
 """
 
-from .probkit import (CondPmf, JointPmf, JointType, Pmf, compose_markov,
+from .probkit import (CondPmf, JointPmf, Pmf, compose_markov,
                       conditional_mutual_information, entropy, joint_type,
                       mutual_information, tv_distance)
 from .typicality import (count_bounds, delta_t, epsilon_m, is_strongly_typical,
@@ -16,14 +16,12 @@ from .typicality import (count_bounds, delta_t, epsilon_m, is_strongly_typical,
 from .source import ActionDraw, SourceConfig, draw_actions
 from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                      DecoderBudgetExceeded, DirectSchemeConfig, EncodeResult,
-                     ErrorCase, TrialInternals, TrialOutcome, classify_error,
-                     codeword_block, decode_binned, decode_direct,
+                     ErrorCase, TrialOutcome, codeword_block, decode_binned, decode_direct,
                      encode_binned, encode_direct, run_binned_trial,
                      run_direct_trial)
 from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
-                     induced_target, min_achievable_delta,
-                     min_finite_agent_rate, min_per_agent_rate, per_agent_rate,
-                     rate_delta_curve)
+                     min_achievable_delta, min_finite_agent_rate,
+                     min_per_agent_rate, per_agent_rate, rate_delta_curve)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
 from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
@@ -31,20 +29,20 @@ from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
 __version__ = "0.1.0"
 
 __all__ = [
-    "Pmf", "CondPmf", "JointPmf", "JointType",
+    "Pmf", "CondPmf", "JointPmf",
     "joint_type", "tv_distance", "entropy",
     "mutual_information", "conditional_mutual_information", "compose_markov",
     "epsilon_m", "delta_t", "count_bounds",
     "is_strongly_typical", "typical_set_size_bound",
     "SourceConfig", "ActionDraw", "draw_actions",
     "CodebookSpec", "DirectSchemeConfig", "BinnedSchemeConfig",
-    "EncodeResult", "TrialOutcome", "TrialInternals", "ErrorCase",
+    "EncodeResult", "TrialOutcome", "ErrorCase",
     "DecoderBudgetExceeded", "BinnedDecodeResult",
     "codeword_block", "encode_direct", "decode_direct",
-    "encode_binned", "decode_binned", "classify_error",
+    "encode_binned", "decode_binned",
     "run_direct_trial", "run_binned_trial",
     "RegionQuery", "RegionPoint", "CurvePoint",
-    "finite_agent_rate", "per_agent_rate", "induced_target",
+    "finite_agent_rate", "per_agent_rate",
     "min_achievable_delta", "min_per_agent_rate", "min_finite_agent_rate",
     "rate_delta_curve",
     "ExperimentConfig", "ExperimentStats", "ExperimentAborted",

@@ -5,7 +5,9 @@
     coordsim verify   [--spec spec.json] [--only AC1,AC7]
 
 Exit codes: 0 success, 1 failed verification, 2 spec/validation error,
-3 decoder-limit abort.  CSV output is UTF-8 with LF line endings and a
+3 decoder-limit abort.  An --out path whose directory does not exist, or a
+CSV that cannot be written, exits 2; the directory is checked before any
+work starts.  CSV output is UTF-8 with LF line endings and a
 versioned header comment; every random quantity traces to seeds recorded in
 the spec, so a rerun with the same spec is byte-identical.  Wall-clock
 timings are left blank unless --timings is passed, because measured times
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 
 from . import region as region_mod
@@ -73,6 +76,7 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
     """Run the experiment grid of a spec and write one CSV row per cell."""
     try:
         spec = load_runspec(spec_path)
+        _check_out_dir(out_path)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
@@ -94,7 +98,6 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
                         scheme=scheme,
                         trials=spec.trials,
                         seed=seed,
-                        delta=delta,
                         target=spec.target_joint(),
                         search_budget=spec.budget)
                     stats = run_experiment(cfg, workers=workers)
@@ -106,9 +109,7 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
     except (ValueError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-
-    _write_lines(out_path, lines)
-    return EXIT_OK
+    return _write_lines(out_path, lines)
 
 
 def _simulate_row(n: int, L: int, spec: RunSpec, scheme, delta: float,
@@ -134,6 +135,7 @@ def cmd_region(spec_path: str, out_path: str) -> int:
         spec = load_runspec(spec_path)
         if spec.region_delta_grid is None:
             raise SpecError("spec has no region section")
+        _check_out_dir(out_path)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
@@ -152,7 +154,8 @@ def cmd_region(spec_path: str, out_path: str) -> int:
             _fmt(point.finite.rate),
             _fmt(point.per_agent.achieved_tv),
             "1" if point.per_agent.feasible else "0")))
-    _write_lines(out_path, lines)
+    if _write_lines(out_path, lines) != EXIT_OK:
+        return EXIT_SPEC
 
     # CSV stays in nats; the console summary carries both units
     print(f"delta_min = {delta_min:.6g}")
@@ -197,9 +200,21 @@ def cmd_verify(spec_path: str | None = None, only: list[str] | None = None) -> i
     return EXIT_OK if not failed else EXIT_FAILED
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _check_out_dir(path: str) -> None:
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise SpecError(f"output directory {directory} does not exist")
+
+
+def _write_lines(path: str, lines: list[str]) -> int:
+    """Write the CSV; a failed write prints one error line and gives exit 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SPEC
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -104,8 +104,6 @@ class CodebookSpec:
     agent_id: int
     num_bins: int
     words_per_bin: int
-    log_bins: float
-    log_words: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -121,33 +119,25 @@ class CodebookSpec:
     def num_codewords(self) -> int:
         return self.num_bins * self.words_per_bin
 
-    @property
-    def log_size(self) -> float:
-        return self.log_bins + self.log_words
-
     @classmethod
     def direct(cls, n: int, rate: float, slack: float, p_y: Pmf,
                seed: int, agent_id: int) -> "CodebookSpec":
-        log_size = n * (rate + slack)
-        num = _floor_exp(log_size)
+        num = _floor_exp(n * (rate + slack))
         if num < 1:
             raise ValueError("floor(e^{n(R+eps)}) is empty; increase rate, slack, or n")
         return cls(n=n, p_y=p_y, seed=seed, agent_id=agent_id,
-                   num_bins=num, words_per_bin=1, log_bins=log_size, log_words=0.0)
+                   num_bins=num, words_per_bin=1)
 
     @classmethod
     def binned(cls, n: int, rate_bin: float, slack_bin: float,
                rate_word: float, slack_word: float, p_y: Pmf,
                seed: int, agent_id: int) -> "CodebookSpec":
-        log_bins = n * (rate_bin + slack_bin)
-        log_words = n * (rate_word - slack_word)
-        bins = _floor_exp(log_bins)
+        bins = _floor_exp(n * (rate_bin + slack_bin))
         if bins < 1:
             raise ValueError("floor(e^{n(R+eps)}) bins is empty; increase rate, slack, or n")
-        words = _ceil_exp(log_words)
+        words = _ceil_exp(n * (rate_word - slack_word))
         return cls(n=n, p_y=p_y, seed=seed, agent_id=agent_id,
-                   num_bins=bins, words_per_bin=words,
-                   log_bins=log_bins, log_words=log_words)
+                   num_bins=bins, words_per_bin=words)
 
     def _rows(self, start: int, stop: int, reach: int) -> np.ndarray:
         """Codewords at flat indices start..stop-1, as rows of the smallest
@@ -205,12 +195,7 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     positions = np.arange(spec.n, dtype=np.uint64)
     state = rng.fold(h[:, None], positions[None, :])
     u = (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    # inverse CDF: the number of cdf entries <= u (searchsorted 'right'); the
-    # last entry, 1.0, exceeds every u
-    symbols = np.zeros(u.shape, dtype=np.int64)
-    for edge in rng.right_closed_cdf(spec.p_y.probs)[:-1]:
-        symbols += u >= edge
-    return symbols
+    return rng.categorical(u, rng.right_closed_cdf(spec.p_y.probs))
 
 
 class _SchemeConfig:
@@ -328,38 +313,6 @@ class TrialOutcome:
     def __post_init__(self):
         if not 0.0 <= self.tv_realized <= 1.0:
             raise ValueError("tv_realized must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class TrialInternals:
-    """Facts the error classifier needs; collected by the trial runners."""
-
-    scheme: str
-    num_agents: int
-    source_pairs_typical: bool
-    encoders_succeeded: int
-    output_typical: bool
-    decoder_matches: int | None = None
-
-
-def classify_error(internals: TrialInternals) -> ErrorCase:
-    """Assign the single error-case label; labels are disjoint and cover
-    every trial."""
-    if not internals.source_pairs_typical:
-        return ErrorCase.A
-    if internals.scheme == "direct":
-        if internals.encoders_succeeded == 0:
-            return ErrorCase.B
-    elif internals.scheme == "binned":
-        if internals.encoders_succeeded < internals.num_agents:
-            return ErrorCase.B
-        if internals.decoder_matches == 0:
-            return ErrorCase.CA
-        if internals.decoder_matches is not None and internals.decoder_matches > 1:
-            return ErrorCase.CB
-    else:
-        raise ValueError(f"unknown scheme {internals.scheme!r}")
-    return ErrorCase.NONE if internals.output_typical else ErrorCase.D
 
 
 def _one_hot(x, sx: int):
@@ -624,39 +577,40 @@ def binned_specs(cfg: BinnedSchemeConfig, source_cfg: SourceConfig, seed: int):
         for l in range(source_cfg.L))
 
 
-def _run_trial(scheme: str, decode, source_cfg: SourceConfig, cfg, specs,
+def _run_trial(encode, decode, source_cfg: SourceConfig, cfg, specs,
                seed: int, trial_index: int, budget: int | None,
                report_target: JointPmf | None) -> TrialOutcome:
-    """Draw, encode at every agent, decode, and label one trial.
+    """Draw, encode at every agent with `encode`, decode, and label one trial.
 
     `decode(results)` is the scheme's decoding step; it returns the emitted
-    sequence and the decoder's match count (None when it does not count).
+    sequence and the error case it ran into (B, Ca or Cb), or None when it
+    decoded.  The label is A if some source pair is atypical, else that
+    case, else none or D by the output test.
     """
     draw = draw_actions(source_cfg, seed, trial_index)
     eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
     pairs_ok = all(is_strongly_typical(draw.x_seq, xhat, cfg.pair_src_obs, eps_prime)
                    for xhat in draw.xhat_seqs)
-
-    encode = encode_direct if scheme == "direct" else encode_binned
     results = [encode(draw.xhat_seqs[l], cfg, spec, budget)
                for l, spec in enumerate(specs)]
-    y, matches = decode(results)
+    y, failure = decode(results)
 
     # one (action, output) count table serves the output test and the TV
     pair = cfg.pair_src_out
     target = report_target if report_target is not None else pair
     if target.shape != pair.shape:
         raise ValueError("report_target shape must match the design pair")
-    out_type = joint_type(draw.x_seq, y, *pair.shape)
-    output_typical = counts_typical(out_type.counts, pair, source_cfg.n, cfg.epsilon)
-
-    case = classify_error(TrialInternals(
-        scheme=scheme, num_agents=len(specs),
-        source_pairs_typical=pairs_ok,
-        encoders_succeeded=sum(r.found for r in results),
-        output_typical=output_typical,
-        decoder_matches=matches))
-    return TrialOutcome(y_seq=y, error_case=case, tv_realized=tv_distance(out_type, target),
+    counts = joint_type(draw.x_seq, y, *pair.shape)
+    if not pairs_ok:
+        case = ErrorCase.A
+    elif failure is not None:
+        case = failure
+    elif counts_typical(counts, pair, source_cfg.n, cfg.epsilon):
+        case = ErrorCase.NONE
+    else:
+        case = ErrorCase.D
+    return TrialOutcome(y_seq=y, error_case=case,
+                        tv_realized=tv_distance(counts / source_cfg.n, target),
                         budget_hit=any(r.budget_hit for r in results),
                         search_cost=sum(r.search_cost for r in results))
 
@@ -664,30 +618,33 @@ def _run_trial(scheme: str, decode, source_cfg: SourceConfig, cfg, specs,
 def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
                      seed: int, trial_index: int, budget: int | None = None,
                      report_target: JointPmf | None = None) -> TrialOutcome:
-    """One direct-scheme trial.
+    """One direct-scheme trial: one agent that found a codeword is enough,
+    and B means none did.
 
     tv_realized compares the (action, output) joint type against
     report_target (the coordination target), which defaults to the scheme's
     own design pair.
     """
     def decode(results):
-        return decode_direct(results, specs), None
+        failure = None if any(r.found for r in results) else ErrorCase.B
+        return decode_direct(results, specs), failure
 
-    return _run_trial("direct", decode, source_cfg, cfg, specs, seed, trial_index,
+    return _run_trial(encode_direct, decode, source_cfg, cfg, specs, seed, trial_index,
                       budget, report_target)
 
 
 def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
                      seed: int, trial_index: int, budget: int | None = None,
                      report_target: JointPmf | None = None) -> TrialOutcome:
-    """One binned-scheme trial: joint decoding runs only when every agent's
-    encoder succeeded."""
+    """One binned-scheme trial: B when any encoder failed, else joint
+    decoding, with Ca for no matching word tuple and Cb for several."""
     def decode(results):
         if not all(r.found for r in results):
-            return specs[0]._word(0), None
+            return specs[0]._word(0), ErrorCase.B
         out = decode_binned([r.w for r in results], cfg, specs)
-        return out.y_seq, out.matches_found
+        if out.matches_found == 1:
+            return out.y_seq, None
+        return out.y_seq, ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB
 
-    return _run_trial("binned", decode, source_cfg, cfg, specs, seed, trial_index,
+    return _run_trial(encode_binned, decode, source_cfg, cfg, specs, seed, trial_index,
                       budget, report_target)
-

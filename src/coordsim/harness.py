@@ -41,15 +41,12 @@ class ExperimentConfig:
     scheme: DirectSchemeConfig | BinnedSchemeConfig
     trials: int
     seed: int
-    delta: float
     target: JointPmf | None = None
     search_budget: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
         sx = self.source.p0.size
         tshape = self.scheme.triple.shape
         if tshape[0] != sx or tshape[1] != sx:
@@ -108,19 +105,12 @@ def _cell_specs(cfg: ExperimentConfig) -> tuple:
 
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
     specs = _cell_specs(cfg)
-    if isinstance(cfg.scheme, DirectSchemeConfig):
-        def runner(t):
-            return run_direct_trial(cfg.source, cfg.scheme, specs, cfg.seed, t,
-                                    budget=cfg.search_budget, report_target=cfg.target)
-    else:
-        def runner(t):
-            return run_binned_trial(cfg.source, cfg.scheme, specs, cfg.seed, t,
-                                    budget=cfg.search_budget, report_target=cfg.target)
-
+    run = run_direct_trial if isinstance(cfg.scheme, DirectSchemeConfig) else run_binned_trial
     rows = []
     for t in range(lo, hi):
         try:
-            outcome = runner(t)
+            outcome = run(cfg.source, cfg.scheme, specs, cfg.seed, t,
+                          budget=cfg.search_budget, report_target=cfg.target)
         except DecoderBudgetExceeded as exc:
             raise ExperimentAborted(f"trial {t} of {cfg.trials}: {exc}; shrink n, L, "
                                     f"or the codebook") from exc

@@ -9,8 +9,8 @@ Conventions:
   - alphabets are the integers 0..size-1;
   - 0 * ln 0 == 0 and 0 * ln(0/0) == 0; probabilities at or below ZERO_TOL
     are treated as exact zeros inside log terms;
-  - joint types keep integer counts, so type arithmetic is exact rational
-    (counts over n) until a float view is explicitly requested.
+  - joint types are integer count tables, so type arithmetic is exact until
+    a caller divides by n.
 
 All container types are immutable after construction (backing arrays are
 marked read-only) and safe to share across parallel workers; every operation
@@ -141,32 +141,7 @@ class JointPmf:
         return JointPmf(reduced)
 
 
-@dataclass(frozen=True)
-class JointType:
-    """Empirical joint distribution of two equal-length sequences.
-
-    Keeps the raw integer cell counts and the length n; the exact semantics
-    are counts/n, and floats appear only when a comparison needs them.
-    """
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", _frozen_array(self.counts, dtype=np.int64, ndim=2))
-        if self.n < 1:
-            raise ValueError("sequence length must be >= 1")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
-        if int(self.counts.sum()) != self.n:
-            raise ValueError("counts must sum to n")
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self.counts / self.n
-
-
-ProbsLike = Pmf | CondPmf | JointPmf | JointType | np.ndarray
+ProbsLike = Pmf | CondPmf | JointPmf | np.ndarray
 
 
 def as_probs(p: ProbsLike) -> np.ndarray:
@@ -175,8 +150,6 @@ def as_probs(p: ProbsLike) -> np.ndarray:
         return p.probs
     if isinstance(p, CondPmf):
         return p.rows
-    if isinstance(p, JointType):
-        return p.normalized
     return np.asarray(p, dtype=np.float64)
 
 
@@ -189,16 +162,15 @@ def _check_sequence(seq: np.ndarray, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def joint_type(x_seq, y_seq, sx: int, sy: int) -> JointType:
+def joint_type(x_seq, y_seq, sx: int, sy: int) -> np.ndarray:
     """Empirical joint type of (x_seq, y_seq) over the alphabets 0..sx-1 and
-    0..sy-1: cell (a, b) holds #{i : (x_i, y_i) = (a, b)} / n, kept as
-    integer counts over n."""
+    0..sy-1, as its int64 (sx, sy) count table: cell (a, b) holds
+    #{i : (x_i, y_i) = (a, b)}; the type itself is the table over n."""
     x = _check_sequence(x_seq, sx, "x_seq")
     y = _check_sequence(y_seq, sy, "y_seq")
     if x.size != y.size:
         raise ValueError(f"sequence lengths differ: {x.size} vs {y.size}")
-    counts = np.bincount(x * sy + y, minlength=sx * sy).reshape(sx, sy)
-    return JointType(counts=counts, n=x.size)
+    return np.bincount(x * sy + y, minlength=sx * sy).reshape(sx, sy)
 
 
 def tv_distance(p: ProbsLike, q: ProbsLike) -> float:

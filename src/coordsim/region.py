@@ -80,13 +80,11 @@ class RegionQuery:
 @dataclass(frozen=True)
 class RegionPoint:
     """One solved point: optimal rate (nats/symbol), the optimizing channel,
-    the action/output channel it induces, the fidelity it achieves, and the
-    Frank-Wolfe duality gap certifying rate - optimum <= gap.  An infeasible
+    the fidelity it achieves, and the Frank-Wolfe duality gap certifying rate - optimum <= gap.  An infeasible
     point carries gap 0.0: the floor LP's verdict is exact."""
 
     rate: float
     q_star: CondPmf
-    induced: CondPmf
     achieved_tv: float
     feasible: bool
     gap: float
@@ -109,13 +107,6 @@ def _as_channel_array(q, in_size: int, out_size: int) -> np.ndarray:
 
 def _obs_marginal(query: RegionQuery) -> np.ndarray:
     return query.p0.probs @ query.obs_channel.rows
-
-
-def induced_target(q, query: RegionQuery) -> CondPmf:
-    """Action-to-output channel obtained by riding q behind the observation
-    channel: rows = obs_rows @ q."""
-    arr = _as_channel_array(q, query.obs_size, query.out_size)
-    return CondPmf(query.obs_channel.rows @ arr)
 
 
 def _induced_joint(q_arr: np.ndarray, query: RegionQuery) -> np.ndarray:
@@ -310,9 +301,8 @@ def _solve(kind: str, query: RegionQuery,
     delta = float(query.delta)
     delta_min, q_tv = min_achievable_delta(query)
     if delta_min > delta + FEASIBILITY_SLACK:
-        return RegionPoint(rate=math.inf, q_star=q_tv,
-                           induced=induced_target(q_tv, query),
-                           achieved_tv=delta_min, feasible=False, gap=0.0)
+        return RegionPoint(rate=math.inf, q_star=q_tv, achieved_tv=delta_min,
+                           feasible=False, gap=0.0)
 
     radius = delta + FEASIBILITY_SLACK
     a_size, b_size = query.obs_size, query.out_size
@@ -334,9 +324,7 @@ def _solve(kind: str, query: RegionQuery,
     candidates = np.array(repaired + solved)
     values = _objective_batch(kind, candidates, query)
     best = int(np.argmin(values))
-    q_star = CondPmf(candidates[best])
-    return RegionPoint(rate=float(values[best]), q_star=q_star,
-                       induced=induced_target(q_star, query),
+    return RegionPoint(rate=float(values[best]), q_star=CondPmf(candidates[best]),
                        achieved_tv=_tv_to_target(candidates[best], query),
                        feasible=True,
                        gap=_duality_gap(kind, candidates[best],

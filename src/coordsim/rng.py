@@ -102,14 +102,19 @@ def uniforms(key: np.uint64, indices: np.ndarray) -> np.ndarray:
     return (h >> _S11).astype(np.float64) * _INV_2_53
 
 
-def categorical(key: np.uint64, indices: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Sample symbols by inverse CDF at counter indices.
+def categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Symbols by inverse CDF: for each uniform in u, the number of entries
+    of `cdf` (along its last axis) that are <= u, as searchsorted 'right'
+    counts them.
 
-    `cdf` is the cumulative distribution; its last entry must be 1.0 so every
-    draw maps into range.
+    The result has u's shape; the leading axes of `cdf`, if any, broadcast
+    against it, so each uniform may read its own cdf row.  The last entry
+    must be 1.0, which exceeds every u in [0, 1) and is skipped.
     """
-    u = uniforms(key, indices)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    symbols = np.zeros(u.shape, dtype=np.int64)
+    for k in range(cdf.shape[-1] - 1):
+        symbols += u >= cdf[..., k]
+    return symbols
 
 
 def right_closed_cdf(probs: np.ndarray) -> np.ndarray:

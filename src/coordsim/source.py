@@ -75,13 +75,7 @@ def draw_actions(cfg: SourceConfig, seed: int, trial_index: int) -> ActionDraw:
     keys = rng.derive_keys(seed, SOURCE_STREAM, trial_index, count=cfg.L + 1)
     u = rng.uniforms(keys[:, None], np.arange(cfg.n, dtype=np.uint64))
 
-    # inverse CDFs by comparison-sum: the number of cdf entries <= u
-    # (searchsorted 'right'; the last entry, 1.0, exceeds every u); every
-    # observation stream reads the cdf rows of the same actions
-    x = np.zeros(cfg.n, dtype=np.int64)
-    for edge in cfg._action_cdf[:-1]:
-        x += u[0] >= edge
-    xhat = np.zeros((cfg.L, cfg.n), dtype=np.int64)
-    for edges in cfg._obs_cdf.T[:-1]:
-        xhat += u[1:] >= edges[x]
+    # every observation stream reads the cdf rows of the same actions
+    x = rng.categorical(u[0], cfg._action_cdf)
+    xhat = rng.categorical(u[1:], cfg._obs_cdf[x])
     return ActionDraw(x_seq=x, xhat_seqs=xhat)

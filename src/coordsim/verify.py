@@ -153,8 +153,7 @@ def ac1_probability_kernels() -> CheckResult:
         seqs = _all_sequences(2, n)
         for x in seqs:
             for y in seqs:
-                jt = joint_type(x, y, 2, 2)
-                if not np.array_equal(jt.counts, _oracle_type(x, y, 2, 2)):
+                if not np.array_equal(joint_type(x, y, 2, 2), _oracle_type(x, y, 2, 2)):
                     failures.append(f"joint_type mismatch at n={n}")
                 checked += 1
     generator = np.random.default_rng(101)
@@ -235,7 +234,7 @@ def _typicality_rate(probs, n, trials, epsilon, seed):
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         indices = np.arange(start * n, stop * n, dtype=np.uint64)
-        codes = rng.categorical(key, indices, cdf).reshape(stop - start, n)
+        codes = rng.categorical(rng.uniforms(key, indices), cdf).reshape(stop - start, n)
         counts = np.empty((stop - start, probs.size), dtype=np.int64)
         for cell in range(probs.size):
             counts[:, cell] = (codes == cell).sum(axis=1)
@@ -317,8 +316,7 @@ def _ac5_config(n: int) -> ExperimentConfig:
                                 triple=triple)
     return ExperimentConfig(
         source=SourceConfig(p0=p0, obs_channel=obs, L=1, n=n),
-        scheme=scheme, trials=200, seed=AC5_SEED, delta=0.1,
-        search_budget=50_000)
+        scheme=scheme, trials=200, seed=AC5_SEED, search_budget=50_000)
 
 
 def ac5_direct_scheme_trend() -> CheckResult:

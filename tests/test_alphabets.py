@@ -99,7 +99,7 @@ class TestSchemes:
                                     epsilon=0.9, triple=triple)
         cfg = ExperimentConfig(
             source=SourceConfig(p0=P0_3, obs_channel=OBS_3, L=1, n=24),
-            scheme=scheme, trials=30, seed=3, delta=0.5, search_budget=5000)
+            scheme=scheme, trials=30, seed=3, search_budget=5000)
         stats = run_experiment(cfg, workers=2)
         assert stats.trials == 30
         assert sum(stats.error_case_counts.values()) == 30

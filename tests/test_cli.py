@@ -268,6 +268,40 @@ def test_non_finite_number_exit_2(tmp_path, capsys, command, path, literal):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
+                         ids=["simulate", "region"])
+def test_missing_out_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(region_mod, "rate_delta_curve", no_work)
+    monkeypatch.setattr(region_mod, "min_achievable_delta", no_work)
+    spec_path = write_spec(tmp_path, base_spec())
+    out = tmp_path / "missing" / "out.csv"
+    assert command(spec_path, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "missing") in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
+                         ids=["simulate", "region"])
+def test_failed_write_exit_2(tmp_path, capsys, command):
+    # the output path is an existing directory, so opening it for writing fails
+    document = base_spec()
+    document["experiment"]["trials"] = 2
+    document["region"]["delta_grid"] = [0.5]
+    spec_path = write_spec(tmp_path, document)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert command(spec_path, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_subset_passes(self, capsys):
         assert cli.cmd_verify(only=["AC4"]) == 0

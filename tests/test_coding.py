@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coordsim import coding, rng
-from coordsim.coding import (BinnedSchemeConfig, CodebookSpec,
+from coordsim.coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DirectSchemeConfig,
-                             EncodeResult, ErrorCase, TrialInternals,
-                             _cell_counts, _first_unique,
-                             _one_hot, binned_specs, classify_error,
-                             codeword_block, decode_binned, decode_direct,
+                             EncodeResult, ErrorCase, _cell_counts, _first_unique,
+                             _one_hot, binned_specs, codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
@@ -196,8 +194,7 @@ class TestScanPrefixStore:
                                  triple=triple)
         bins = data.draw(st.integers(1, 1500))
         spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
-                            num_bins=bins, words_per_bin=words, log_bins=0.0,
-                            log_words=0.0)
+                            num_bins=bins, words_per_bin=words)
         # one spec serves every scan, so later (and shorter) scans read the
         # store earlier ones grew
         scans = data.draw(st.lists(
@@ -217,7 +214,7 @@ class TestScanPrefixStore:
            cap_rows=st.integers(0, 400), seed=st.integers(0, 2**31 - 1))
     def test_rows_equal_generated_codewords(self, data, sy, n, cap_rows, seed):
         spec = CodebookSpec(n=n, p_y=Pmf.uniform(sy), seed=seed, agent_id=3,
-                            num_bins=900, words_per_bin=1, log_bins=0.0, log_words=0.0)
+                            num_bins=900, words_per_bin=1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * n * (1 if sy <= 256 else 2))
             for _ in range(data.draw(st.integers(1, 5))):
@@ -232,7 +229,7 @@ class TestScanPrefixStore:
 
     def test_store_is_generated_once_and_not_a_field(self, monkeypatch):
         spec = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=1,
-                            num_bins=5000, words_per_bin=1, log_bins=0.0, log_words=0.0)
+                            num_bins=5000, words_per_bin=1)
         generated = []
         original = coding.codeword_block
 
@@ -287,7 +284,7 @@ class TestCodewordSampler:
            words=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
     def test_equals_searchsorted_reference(self, data, sy, n, words, seed):
         spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=2,
-                            num_bins=50, words_per_bin=words, log_bins=0.0, log_words=0.0)
+                            num_bins=50, words_per_bin=words)
         flat = np.array(data.draw(st.lists(st.integers(0, 50 * words - 1), max_size=20)),
                         dtype=np.int64)
         cdf = rng.right_closed_cdf(spec.p_y.probs)
@@ -300,7 +297,7 @@ class TestCodewordSampler:
         # searchsorted 'right' counts a cdf entry equal to u, so u == cdf[0]
         # must emit symbol 1, not 0
         probe = CodebookSpec(n=8, p_y=Pmf.uniform(3), seed=5, agent_id=0, num_bins=4,
-                             words_per_bin=1, log_bins=0.0, log_words=0.0)
+                             words_per_bin=1)
         u = _uniforms_of(probe, np.arange(4))
         tie = float(u[2, 3])
         spec = dataclasses.replace(probe, p_y=Pmf([tie, (1 - tie) / 2, (1 - tie) / 2]))
@@ -428,7 +425,7 @@ def _instance(law, epsilon, n, agents, words, seed):
     cfg = BinnedSchemeConfig(rate_bin=0.1, slack_bin=0.0, rate_word=0.1, slack_word=0.0,
                              epsilon=epsilon, triple=triple)
     specs = tuple(CodebookSpec(n=n, p_y=cfg.p_y, seed=seed, agent_id=l, num_bins=3,
-                               words_per_bin=words, log_bins=0.0, log_words=0.0)
+                               words_per_bin=words)
                   for l in range(agents))
     return cfg, specs
 
@@ -503,40 +500,76 @@ class TestDecodeBinnedLiteral:
         _assert_matches_literal(bins, cfg, specs)
 
 
+# per scheme, rows of (source pairs typical, encoders found, decoder
+# matches, output typical, label): A outranks every other case, the
+# scheme's decode step decides B, Ca and Cb, and only a decoded trial
+# reaches the output test
+_LABEL_TABLE = {
+    "direct": [
+        (True, (True, True), None, True, ErrorCase.NONE),
+        (True, (False, True), None, True, ErrorCase.NONE),  # one encoder is enough
+        (False, (True, True), None, True, ErrorCase.A),
+        (False, (False, False), None, False, ErrorCase.A),
+        (True, (False, False), None, False, ErrorCase.B),
+        (True, (True, False), None, False, ErrorCase.D),
+    ],
+    "binned": [
+        (True, (True, True), 1, True, ErrorCase.NONE),
+        (False, (True, False), None, False, ErrorCase.A),
+        (True, (True, False), None, True, ErrorCase.B),
+        (True, (True, True), 0, True, ErrorCase.CA),
+        (True, (True, True), 0, False, ErrorCase.CA),
+        (True, (True, True), 3, True, ErrorCase.CB),
+        (True, (True, True), 1, False, ErrorCase.D),
+    ],
+}
+
+
+def _check_label_table(monkeypatch, scheme):
+    """Run one whole trial per table row, with the pair tests, every
+    agent's scan, the joint decoder and the output test patched to the
+    row's outcomes, and compare the trial's label with the row's."""
+    src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                       L=2, n=6)
+    if scheme == "direct":
+        cfg = direct_scheme(agents=2)
+        specs, run = direct_specs(cfg, src, 3), run_direct_trial
+    else:
+        cfg = binned_scheme()
+        specs, run = binned_specs(cfg, src, 3), run_binned_trial
+    for pairs_ok, found, matches, output_ok, label in _LABEL_TABLE[scheme]:
+        decoded = []
+
+        def encode(xhat, cfg, spec, budget, found=found):
+            if found[spec.agent_id]:
+                return EncodeResult(w=1, v=0, found=True, search_cost=2)
+            return EncodeResult(w=None, v=None, found=False, search_cost=4)
+
+        def decode(bins, cfg, specs, matches=matches, decoded=decoded):
+            decoded.append(bins)
+            return BinnedDecodeResult(matches_found=matches, v_tuple=None,
+                                      y_seq=specs[0]._word(0))
+
+        monkeypatch.setattr(coding, f"encode_{scheme}", encode)
+        monkeypatch.setattr(coding, "decode_binned", decode)
+        monkeypatch.setattr(coding, "is_strongly_typical", lambda *args, ok=pairs_ok: ok)
+        monkeypatch.setattr(coding, "counts_typical", lambda *args, ok=output_ok: ok)
+        row = (pairs_ok, found, matches, output_ok)
+        outcome = run(src, cfg, specs, 3, 0)
+        assert outcome.error_case is label, row
+        assert outcome.search_cost == sum(2 if f else 4 for f in found), row
+        # the joint decoder runs exactly when every binned encoder succeeded
+        assert decoded == ([[1, 1]] if scheme == "binned" and all(found) else []), row
+
+
 class TestClassifier:
-    def test_direct_labels(self):
-        base = dict(scheme="direct", num_agents=2, source_pairs_typical=True,
-                    encoders_succeeded=2, output_typical=True)
-        assert classify_error(TrialInternals(**base)) is ErrorCase.NONE
-        assert classify_error(TrialInternals(**{**base, "source_pairs_typical": False})) \
-            is ErrorCase.A
-        assert classify_error(TrialInternals(**{**base, "encoders_succeeded": 0})) \
-            is ErrorCase.B
-        # one surviving encoder is enough for the direct scheme
-        assert classify_error(TrialInternals(**{**base, "encoders_succeeded": 1})) \
-            is ErrorCase.NONE
-        assert classify_error(TrialInternals(**{**base, "output_typical": False})) \
-            is ErrorCase.D
+    """The label rules, through run_direct_trial and run_binned_trial."""
 
-    def test_binned_labels(self):
-        base = dict(scheme="binned", num_agents=2, source_pairs_typical=True,
-                    encoders_succeeded=2, output_typical=True, decoder_matches=1)
-        assert classify_error(TrialInternals(**base)) is ErrorCase.NONE
-        assert classify_error(TrialInternals(**{**base, "encoders_succeeded": 1})) \
-            is ErrorCase.B
-        assert classify_error(TrialInternals(**{**base, "decoder_matches": 0})) \
-            is ErrorCase.CA
-        assert classify_error(TrialInternals(**{**base, "decoder_matches": 3})) \
-            is ErrorCase.CB
-        assert classify_error(TrialInternals(**{**base, "output_typical": False})) \
-            is ErrorCase.D
+    def test_direct_labels(self, monkeypatch):
+        _check_label_table(monkeypatch, "direct")
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            classify_error(TrialInternals(scheme="other", num_agents=1,
-                                          source_pairs_typical=True,
-                                          encoders_succeeded=1,
-                                          output_typical=True))
+    def test_binned_labels(self, monkeypatch):
+        _check_label_table(monkeypatch, "binned")
 
     def test_every_trial_gets_exactly_one_label(self):
         cfg = binned_scheme()
@@ -559,8 +592,8 @@ class TestTrials:
             flat = (trial % 4) * specs[0].words_per_bin + trial % 2
             ys = [codeword_block(specs[l], [flat])[0] for l in range(3)]
             stacked = joint_type(np.tile(draw.x_seq, 3), np.concatenate(ys), 2, 2)
-            summed = sum(joint_type(draw.x_seq, y, 2, 2).counts for y in ys)
-            assert np.array_equal(stacked.counts, summed)
+            summed = sum(joint_type(draw.x_seq, y, 2, 2) for y in ys)
+            assert np.array_equal(stacked, summed)
 
     def test_successful_direct_trials_have_small_tv(self):
         triple = compose_markov(Pmf.uniform(2), CondPmf.binary_flip(0.4),

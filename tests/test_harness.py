@@ -27,7 +27,7 @@ def direct_config(n=40, L=1, trials=50, seed=11, rate=None, epsilon=0.3,
     scheme = DirectSchemeConfig(rates=(rate,) * L, slacks=(0.12,) * L,
                                 epsilon=epsilon, triple=triple)
     return ExperimentConfig(source=SourceConfig(p0=p0, obs_channel=obs, L=L, n=n),
-                            scheme=scheme, trials=trials, seed=seed, delta=0.1,
+                            scheme=scheme, trials=trials, seed=seed,
                             search_budget=budget)
 
 
@@ -39,7 +39,7 @@ def binned_config(n=6, L=2, trials=30, seed=5, epsilon=0.5, words=2.6, budget=No
                                 rate_word=math.log(words) / n, slack_word=0.0,
                                 epsilon=epsilon, triple=triple)
     return ExperimentConfig(source=SourceConfig(p0=p0, obs_channel=obs, L=L, n=n),
-                            scheme=scheme, trials=trials, seed=seed, delta=0.3,
+                            scheme=scheme, trials=trials, seed=seed,
                             search_budget=budget)
 
 
@@ -184,7 +184,7 @@ class TestRunExperiment:
                                     epsilon=0.8, triple=triple)
         cfg = ExperimentConfig(
             source=SourceConfig(p0=p0, obs_channel=ident, L=1, n=12),
-            scheme=scheme, trials=40, seed=99, delta=0.4)
+            scheme=scheme, trials=40, seed=99)
         stats = run_experiment(cfg)
         counts = stats.error_case_counts
         assert counts[ErrorCase.B.value] == 0
@@ -210,8 +210,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             direct_config(trials=0)
         cfg = direct_config()
-        with pytest.raises(ValueError):
-            dataclasses.replace(cfg, delta=-0.5)
         with pytest.raises(ValueError):
             dataclasses.replace(cfg, scheme=dataclasses.replace(
                 cfg.scheme, rates=(0.1, 0.2)))

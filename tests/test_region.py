@@ -10,7 +10,7 @@ from coordsim.probkit import (CondPmf, Pmf, compose_markov,
                               conditional_mutual_information,
                               mutual_information, tv_distance)
 from coordsim.region import (FEASIBILITY_SLACK, OPTIMUM_TOL, RegionQuery,
-                             finite_agent_rate, induced_target,
+                             finite_agent_rate,
                              min_achievable_delta, min_finite_agent_rate,
                              min_per_agent_rate, per_agent_rate,
                              rate_delta_curve)
@@ -73,24 +73,6 @@ class TestRates:
                 target=CondPmf(generator.dirichlet(np.ones(2), size=2)))
             q = generator.dirichlet(np.ones(2), size=2)
             assert per_agent_rate(q, query) <= finite_agent_rate(q, query) + 1e-10
-
-
-class TestInducedTarget:
-    def test_identity_observation_returns_q(self):
-        query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf.identity(2),
-                            target=CondPmf.binary_flip(0.3))
-        q = CondPmf.binary_flip(0.27)
-        assert np.allclose(induced_target(q, query).rows, q.rows)
-
-    def test_constant_q_stays_constant(self):
-        query = flip_query()
-        induced = induced_target(CondPmf.constant(2, 1, 2), query)
-        assert np.allclose(induced.rows[:, 1], 1.0)
-
-    def test_flip_composition(self):
-        query = flip_query(obs_flip=0.1)
-        induced = induced_target(CondPmf.binary_flip(0.1), query)
-        assert np.allclose(induced.rows, CondPmf.binary_flip(0.18).rows, atol=1e-14)
 
 
 class TestFidelityFloor:
@@ -169,7 +151,7 @@ class TestConstrainedMinima:
                 assert point.achieved_tv <= query.delta + FEASIBILITY_SLACK
                 assert point.rate == pytest.approx(rate_fn(point.q_star, query),
                                                    abs=1e-10)
-                joint = query.p0.probs[:, None] * point.induced.rows
+                joint = query.p0.probs[:, None] * (query.obs_channel.rows @ point.q_star.rows)
                 assert tv_distance(joint, query.target_joint) == \
                     pytest.approx(point.achieved_tv, abs=1e-12)
 

@@ -61,3 +61,27 @@ def test_folds_raise_no_overflow_warning():
         rng.uniforms(rng.derive_keys(7, 1, count=3)[:, None], np.arange(8, dtype=np.uint64))
         rng.derive_key(2**64 - 1, 2**64 - 1)
     assert np.all((u >= 0.0) & (u < 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 5), rows=st.integers(1, 4),
+       count=st.integers(0, 30), per_row=st.booleans())
+def test_categorical_equals_searchsorted(data, size, rows, count, per_row):
+    # one cdf for every uniform, or one cdf row per uniform position; some
+    # uniforms sit exactly on a cdf entry, which searchsorted 'right' counts
+    weights = st.lists(st.sampled_from((0.0, 0.1, 0.25, 1.0)), min_size=size,
+                       max_size=size).filter(any)
+    laws = [np.array(data.draw(weights)) for _ in range(count if per_row else 1)]
+    cdf = np.array([rng.right_closed_cdf(w / w.sum()) for w in laws])
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                    min_size=rows * count, max_size=rows * count)))
+    u = u.reshape(rows, count)
+    for k in data.draw(st.lists(st.integers(0, rows * count - 1), max_size=3)) if count else ():
+        edge = cdf[k % count if per_row else 0, 0]
+        if edge < 1.0:
+            u.flat[k] = edge
+    got = rng.categorical(u, cdf if per_row else cdf[0])
+    want = [[np.searchsorted(cdf[j if per_row else 0], u[i, j], side="right")
+             for j in range(count)] for i in range(rows)]
+    assert got.dtype == np.int64 and got.shape == u.shape
+    assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(u.shape))

@@ -102,7 +102,7 @@ class TestDrawActions:
         draw = draw_actions(cfg, seed=31, trial_index=0)
         jt = joint_type(draw.x_seq, draw.xhat_seqs[0], 2, 2)
         expected = np.array([[0.4, 0.1], [0.1, 0.4]])
-        assert tv_distance(jt, expected) < 0.01
+        assert tv_distance(jt / cfg.n, expected) < 0.01
 
     def test_observations_conditionally_independent(self):
         # chi-square style check of p(xh1, xh2 | x) against the product law
