@@ -26,7 +26,7 @@ from . import region as region_mod
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
 from .probkit import CondPmf
-from .runspec import RunSpec, SpecError, load_runspec
+from .runspec import RunSpec, SpecError, load_runspec, read_seed
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -76,11 +76,12 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
     """Run the experiment grid of a spec and write one CSV row per cell."""
     try:
         spec = load_runspec(spec_path)
+        seed = (spec.seed if seed_override is None
+                else read_seed(seed_override, "--seed-override"))
         _check_out_dir(out_path)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    seed = spec.seed if seed_override is None else int(seed_override)
     digest = _spec_digest(spec_path)
 
     aux_cache: dict = {}

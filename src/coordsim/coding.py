@@ -33,10 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
 
-import mpmath
 import numpy as np
 
 from . import rng
@@ -79,14 +79,31 @@ class ErrorCase(str, Enum):
     D = "D"
 
 
+# an exponent past this gives more than MAX_TOTAL_CODEWORDS codewords; it is
+# refused before e^x is formed (e^{1e6} has 434,295 digits)
+_MAX_EXPONENT = math.log(MAX_TOTAL_CODEWORDS) + 1.0
+
+
+def _exp(x: float) -> Decimal:
+    """e^x for a codebook size; a count plainly past the index cap is refused."""
+    if x > _MAX_EXPONENT:
+        raise ValueError(
+            f"codebook of about e^{x:.6g} codewords exceeds the "
+            f"{MAX_TOTAL_CODEWORDS} index cap; lower the rate, slack, or n")
+    # decimal's exp is correctly rounded.  60 digits resolve e^x next to any
+    # integer k >= 2 for a double x; next to 1, e^x - 1 is about x, so a tiny
+    # |x| adds the digits of its own magnitude.
+    exponent = Decimal(x)
+    return Context(prec=60 + max(0, -exponent.adjusted())).exp(exponent)
+
+
 def _floor_exp(x: float) -> int:
-    with mpmath.workdps(40):
-        return int(mpmath.floor(mpmath.exp(x)))
+    return int(_exp(x).to_integral_value(ROUND_FLOOR))
 
 
 def _ceil_exp(x: float) -> int:
-    with mpmath.workdps(40):
-        return int(mpmath.ceil(mpmath.exp(x)))
+    # e^x > 0, so a result that underflows to 0 still has ceiling 1
+    return max(1, int(_exp(x).to_integral_value(ROUND_CEILING)))
 
 
 @dataclass(frozen=True)

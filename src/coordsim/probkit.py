@@ -64,12 +64,6 @@ class Pmf:
     def uniform(size: int) -> "Pmf":
         return Pmf(np.full(size, 1.0 / size))
 
-    @staticmethod
-    def point_mass(size: int, symbol: int) -> "Pmf":
-        probs = np.zeros(size)
-        probs[symbol] = 1.0
-        return Pmf(probs)
-
 
 @dataclass(frozen=True)
 class CondPmf:
@@ -91,23 +85,12 @@ class CondPmf:
         return self.rows.shape[1]
 
     @staticmethod
-    def identity(size: int) -> "CondPmf":
-        return CondPmf(np.eye(size))
-
-    @staticmethod
     def binary_flip(flip_prob: float) -> "CondPmf":
         """Binary symmetric channel with the given crossover probability."""
         f = float(flip_prob)
         if not 0.0 <= f <= 1.0:
             raise ValueError("flip probability must lie in [0, 1]")
         return CondPmf([[1.0 - f, f], [f, 1.0 - f]])
-
-    @staticmethod
-    def constant(in_size: int, symbol: int, out_size: int) -> "CondPmf":
-        """Channel that outputs `symbol` regardless of its input."""
-        rows = np.zeros((in_size, out_size))
-        rows[:, symbol] = 1.0
-        return CondPmf(rows)
 
 
 @dataclass(frozen=True)

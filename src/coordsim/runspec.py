@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,89 +27,8 @@ ROW_SUM_TOL = 1e-9
 
 
 class SpecError(ValueError):
-    """The run spec failed schema validation or is internally inconsistent."""
-
-
-_SCHEMA = {
-    "type": "object",
-    "required": ["alphabets", "source", "target", "scheme", "experiment"],
-    "properties": {
-        "units": {"enum": ["nats", "bits"]},
-        "alphabets": {
-            "type": "object",
-            "required": ["x_size", "y_size"],
-            "properties": {
-                "x_size": {"type": "integer", "minimum": 1},
-                "y_size": {"type": "integer", "minimum": 1},
-            },
-        },
-        "source": {
-            "type": "object",
-            "required": ["p0", "obs_channel"],
-            "properties": {
-                "p0": {"type": "array", "items": {"type": "number"}},
-                "obs_channel": {"type": "array"},
-            },
-        },
-        "target": {
-            "type": "object",
-            "required": ["p_y_given_x"],
-            "properties": {"p_y_given_x": {"type": "array"}},
-        },
-        "scheme": {
-            "type": "object",
-            "required": ["kind", "rates", "epsilons"],
-            "properties": {
-                "kind": {"enum": ["direct", "binned"]},
-                "rates": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "epsilons": {
-                    "type": "object",
-                    "required": ["typicality"],
-                    "properties": {
-                        "typicality": {"type": "number"},
-                        "slacks": {"type": "array", "items": {"type": "number"}},
-                        "ag": {"type": "number"},
-                        "zero": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-                "aux_channel": {"type": "array"},
-            },
-        },
-        "experiment": {
-            "type": "object",
-            "required": ["n_list", "L_list", "trials", "seed", "delta_list"],
-            "properties": {
-                "n_list": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                           "minItems": 1},
-                "L_list": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                           "minItems": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "delta_list": {"type": "array", "items": {"type": "number", "minimum": 0},
-                               "minItems": 1},
-                "budget": {"type": ["integer", "null"], "minimum": 1},
-            },
-        },
-        "region": {
-            "type": "object",
-            "required": ["delta_grid"],
-            "properties": {
-                "delta_grid": {"type": "array", "items": {"type": "number", "minimum": 0},
-                               "minItems": 1},
-                # accepted so older specs still parse; the solver has no knobs
-                "solver": {
-                    "type": "object",
-                    "properties": {
-                        "grid_step": {"type": "number", "exclusiveMinimum": 0},
-                        "restarts": {"type": "integer", "minimum": 0},
-                        "seed": {"type": "integer"},
-                    },
-                },
-            },
-        },
-    },
-}
+    """The run spec has a missing, unknown or malformed field, or is
+    internally inconsistent."""
 
 
 # epsilons keys that only the other scheme reads
@@ -165,109 +85,162 @@ class RunSpec:
         return JointPmf(self.p0.probs[:, None] * self.target.rows)
 
 
-def _stochastic_matrix(raw, rows: int, cols: int, what: str) -> CondPmf:
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.shape != (rows, cols):
-        raise SpecError(f"{what} must be a {rows}x{cols} matrix, got {arr.shape}")
-    if np.any(arr < 0):
-        raise SpecError(f"{what} entries must be >= 0")
+def _object(node, path: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """A JSON object with every required key and no key outside required and
+    optional; the error names the offending key's dotted path."""
+    if not isinstance(node, dict):
+        raise SpecError(f"{path or 'the spec document'} must be a JSON object")
+    prefix = f"{path}." if path else ""
+    # unknown keys first, so a misspelled required key is named as written
+    for key in node:
+        if key not in required and key not in optional:
+            raise SpecError(f"unknown key {prefix}{key}")
+    for key in required:
+        if key not in node:
+            raise SpecError(f"missing key {prefix}{key}")
+    return node
+
+
+def _number(value, path: str, integer: bool = False, minimum: float | None = None):
+    """A finite JSON number (an int when `integer`) of at least `minimum`."""
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{path} must be {kind}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the double range
+        finite = False
+    if not finite:
+        raise SpecError(f"{path} is not a finite number")
+    if integer and value != int(value):
+        raise SpecError(f"{path} must be {kind}")
+    value = int(value) if integer else float(value)
+    if minimum is not None and value < minimum:
+        raise SpecError(f"{path} must be >= {minimum}")
+    return value
+
+
+def _numbers(value, path: str, shape: tuple, integer: bool = False,
+             minimum: float | None = None) -> list:
+    """Nested lists of numbers holding shape[k] entries at depth k (None: one
+    or more), so a matrix arrives with every row of the same length."""
+    count, inner = shape[0], shape[1:]
+    if not isinstance(value, list) or not value or count not in (None, len(value)):
+        raise SpecError(f"{path} must be a list of {count or 'one or more'} "
+                        f"{'lists' if inner else 'numbers'}")
+    return [_numbers(entry, f"{path}[{k}]", inner, integer, minimum) if inner
+            else _number(entry, f"{path}[{k}]", integer, minimum)
+            for k, entry in enumerate(value)]
+
+
+def _stochastic_matrix(value, path: str, rows: int, cols: int) -> CondPmf:
+    arr = np.array(_numbers(value, path, (rows, cols), minimum=0))
     sums = arr.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        raise SpecError(f"{what} rows must sum to 1 within {ROW_SUM_TOL}")
-    arr = arr / sums[:, None]
-    return CondPmf(arr)
+        raise SpecError(f"{path} rows must sum to 1 within {ROW_SUM_TOL}")
+    return CondPmf(arr / sums[:, None])
 
 
-def _non_finite_path(node, path: str = "") -> str | None:
-    """The path (as in region.delta_grid[1]) of the first NaN or infinite
-    float in a decoded JSON document, or None."""
-    if isinstance(node, dict):
-        children = ((f"{path}.{key}" if path else str(key), child)
-                    for key, child in node.items())
-    elif isinstance(node, list):
-        children = ((f"{path}[{k}]", child) for k, child in enumerate(node))
-    else:
-        return path if isinstance(node, float) and not math.isfinite(node) else None
-    for child_path, child in children:
-        found = _non_finite_path(child, child_path)
-        if found is not None:
-            return found
-    return None
+def read_seed(value, path: str) -> int:
+    """A seed in [0, 2**64); rng.derive_key reduces a seed mod 2**64, so one
+    outside would silently replay a seed inside."""
+    seed = _number(value, path, integer=True, minimum=0)
+    if seed >= 2**64:
+        raise SpecError(f"{path} must be below 2**64")
+    return seed
 
 
 def parse_runspec(document: dict) -> RunSpec:
-    """Validate a spec document and build the library objects it describes."""
-    import jsonschema
+    """Validate a spec document in one pass and build the library objects it
+    describes.  Every object is closed: a missing or unknown key, or a value
+    of the wrong kind, is a SpecError naming its dotted path."""
+    _object(document, "", ("alphabets", "source", "target", "scheme", "experiment"),
+            ("units", "region"))
+    units = document.get("units", "nats")
+    if units not in ("nats", "bits"):
+        raise SpecError('units must be "nats" or "bits"')
+    to_nats = math.log(2.0) if units == "bits" else 1.0
 
-    try:
-        jsonschema.validate(document, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SpecError(f"spec schema violation at {list(exc.absolute_path)}: "
-                        f"{exc.message}") from exc
-    bad = _non_finite_path(document)
-    if bad is not None:
-        raise SpecError(f"{bad} is not a finite number")
+    alphabets = _object(document["alphabets"], "alphabets", ("x_size", "y_size"))
+    x_size, y_size = (_number(alphabets[key], f"alphabets.{key}", integer=True, minimum=1)
+                      for key in ("x_size", "y_size"))
 
-    x_size = document["alphabets"]["x_size"]
-    y_size = document["alphabets"]["y_size"]
+    source = _object(document["source"], "source", ("p0", "obs_channel"))
+    p0 = np.array(_numbers(source["p0"], "source.p0", (x_size,), minimum=0))
+    if abs(p0.sum() - 1.0) > ROW_SUM_TOL:
+        raise SpecError(f"source.p0 must sum to 1 within {ROW_SUM_TOL}")
+    obs = _stochastic_matrix(source["obs_channel"], "source.obs_channel", x_size, x_size)
+    target = _object(document["target"], "target", ("p_y_given_x",))
+    target = _stochastic_matrix(target["p_y_given_x"], "target.p_y_given_x", x_size, y_size)
 
-    p0_raw = np.asarray(document["source"]["p0"], dtype=np.float64)
-    if p0_raw.shape != (x_size,):
-        raise SpecError(f"source.p0 must have {x_size} entries")
-    if np.any(p0_raw < 0) or abs(p0_raw.sum() - 1.0) > ROW_SUM_TOL:
-        raise SpecError(f"source.p0 must be a distribution within {ROW_SUM_TOL}")
-    p0 = Pmf(p0_raw / p0_raw.sum())
-
-    obs = _stochastic_matrix(document["source"]["obs_channel"], x_size, x_size,
-                             "source.obs_channel")
-    target = _stochastic_matrix(document["target"]["p_y_given_x"], x_size, y_size,
-                                "target.p_y_given_x")
-
-    scheme = document["scheme"]
-    to_nats = math.log(2.0) if document.get("units") == "bits" else 1.0
-    rates = tuple(float(r) * to_nats for r in scheme["rates"])
-    if any(r < 0 for r in rates):
-        raise SpecError("scheme.rates must be >= 0")
-    epsilons = dict(scheme["epsilons"])
-    if "slacks" in epsilons:
-        epsilons["slacks"] = [float(s) * to_nats for s in epsilons["slacks"]]
-    for key in ("ag", "zero"):
-        if key in epsilons:
-            epsilons[key] = float(epsilons[key]) * to_nats
-    if float(epsilons["typicality"]) <= 0:
+    scheme = _object(document["scheme"], "scheme", ("kind", "rates", "epsilons"),
+                     ("aux_channel",))
+    kind = scheme["kind"]
+    if kind not in ("direct", "binned"):
+        raise SpecError('scheme.kind must be "direct" or "binned"')
+    rates = tuple(r * to_nats for r in
+                  _numbers(scheme["rates"], "scheme.rates", (None,), minimum=0))
+    given = _object(scheme["epsilons"], "scheme.epsilons", ("typicality",),
+                    ("slacks", "ag", "zero"))
+    for key in _OTHER_SCHEME_EPSILONS[kind]:
+        if key in given:
+            raise SpecError(f"scheme.epsilons.{key} does not apply to the {kind} scheme")
+    epsilons = {"typicality": _number(given["typicality"], "scheme.epsilons.typicality")}
+    if epsilons["typicality"] <= 0:
         raise SpecError("scheme.epsilons.typicality must be > 0")
-    for key in _OTHER_SCHEME_EPSILONS[scheme["kind"]]:
-        if key in epsilons:
-            raise SpecError(f"scheme.epsilons.{key} does not apply to the "
-                            f"{scheme['kind']} scheme")
-    exp = document["experiment"]
-    if scheme["kind"] == "binned":
+    if "slacks" in given:
+        epsilons["slacks"] = [s * to_nats for s in
+                              _numbers(given["slacks"], "scheme.epsilons.slacks", (None,))]
+    for key in ("ag", "zero"):
+        if key in given:
+            epsilons[key] = _number(given[key], f"scheme.epsilons.{key}") * to_nats
+    aux = None
+    if "aux_channel" in scheme:
+        aux = _stochastic_matrix(scheme["aux_channel"], "scheme.aux_channel", x_size, y_size)
+
+    exp = _object(document["experiment"], "experiment",
+                  ("n_list", "L_list", "trials", "seed", "delta_list"), ("budget",))
+    n_list, L_list = (tuple(_numbers(exp[key], f"experiment.{key}", (None,),
+                                     integer=True, minimum=1))
+                      for key in ("n_list", "L_list"))
+    trials = _number(exp["trials"], "experiment.trials", integer=True, minimum=1)
+    seed = read_seed(exp["seed"], "experiment.seed")
+    delta_list = tuple(_numbers(exp["delta_list"], "experiment.delta_list", (None,),
+                                minimum=0))
+    budget = exp.get("budget")
+    if budget is not None:
+        budget = _number(budget, "experiment.budget", integer=True, minimum=1)
+    if kind == "binned":
         if len(rates) != 2:
             raise SpecError("binned scheme.rates must be [bin_rate, word_rate]")
     else:
         for field, values in (("scheme.rates", rates),
                               ("scheme.epsilons.slacks", epsilons.get("slacks", [0.0]))):
-            for L in exp["L_list"]:
+            for L in L_list:
                 if len(values) not in (1, L):
                     raise SpecError(f"{field} must have 1 or {L} entries")
 
-    aux = None
-    if "aux_channel" in scheme:
-        aux = _stochastic_matrix(scheme["aux_channel"], x_size, y_size,
-                                 "scheme.aux_channel")
-
-    region = document.get("region")
+    delta_grid = None
+    if "region" in document:
+        region = _object(document["region"], "region", ("delta_grid",), ("solver",))
+        delta_grid = tuple(_numbers(region["delta_grid"], "region.delta_grid", (None,),
+                                    minimum=0))
+        # accepted so older specs still parse; the solver has no knobs
+        solver = _object(region.get("solver", {}), "region.solver", (),
+                         ("grid_step", "restarts", "seed"))
+        if "grid_step" in solver and _number(solver["grid_step"],
+                                             "region.solver.grid_step") <= 0:
+            raise SpecError("region.solver.grid_step must be > 0")
+        if "restarts" in solver:
+            _number(solver["restarts"], "region.solver.restarts", integer=True, minimum=0)
+        if "seed" in solver:
+            _number(solver["seed"], "region.solver.seed", integer=True)
 
     return RunSpec(
-        x_size=x_size, y_size=y_size, p0=p0, obs_channel=obs, target=target,
-        scheme_kind=scheme["kind"], rates=rates, epsilons=epsilons,
-        aux_channel=aux,
-        n_list=tuple(int(n) for n in exp["n_list"]),
-        L_list=tuple(int(L) for L in exp["L_list"]),
-        trials=int(exp["trials"]), seed=int(exp["seed"]),
-        delta_list=tuple(float(d) for d in exp["delta_list"]),
-        budget=exp.get("budget"),
-        region_delta_grid=tuple(float(d) for d in region["delta_grid"]) if region else None)
+        x_size=x_size, y_size=y_size, p0=Pmf(p0 / p0.sum()), obs_channel=obs,
+        target=target, scheme_kind=kind, rates=rates, epsilons=epsilons,
+        aux_channel=aux, n_list=n_list, L_list=L_list, trials=trials, seed=seed,
+        delta_list=delta_list, budget=budget, region_delta_grid=delta_grid)
 
 
 def _finite(text: str) -> float:
@@ -296,6 +269,4 @@ def load_runspec(path: str) -> RunSpec:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SpecError("spec document must be a JSON object")
     return parse_runspec(document)

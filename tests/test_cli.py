@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coordsim import cli
+from coordsim import cli, coding
 from coordsim import region as region_mod
 from coordsim.probkit import CondPmf, Pmf
 from coordsim.region import RegionQuery
@@ -77,7 +81,7 @@ class TestRunSpecParsing:
                               "epsilons": {"typicality": 0.4, "ag": 0.05,
                                            "zero": 0.02}}
         spec = parse_runspec(document)
-        scheme = spec.scheme_config(2, spec.aux_channel or CondPmf.identity(2))
+        scheme = spec.scheme_config(2, spec.aux_channel or CondPmf(np.eye(2)))
         assert scheme.rate_bin == pytest.approx(0.3)
         assert scheme.slack_word == pytest.approx(0.02)
 
@@ -300,6 +304,112 @@ def test_failed_write_exit_2(tmp_path, capsys, command):
     assert command(spec_path, str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
+# one misspelled key per object of the spec: (path to the object, key as
+# given, key as misspelled); the error names the misspelled key's full path
+_MISSPELLED = [
+    ((), None, "unit"),
+    (("alphabets",), "x_size", "x_sise"),
+    (("source",), "obs_channel", "obs_chanel"),
+    (("target",), "p_y_given_x", "p_y_given_X"),
+    (("scheme",), "aux_channel", "aux_chanel"),
+    (("scheme", "epsilons"), "typicality", "typicalty"),
+    (("experiment",), "budget", "budgett"),
+    (("region",), "delta_grid", "delta_gird"),
+    (("region", "solver"), "restarts", "restart"),
+]
+
+
+@pytest.mark.parametrize("section, key, typo", _MISSPELLED,
+                         ids=[".".join(s) or "top" for s, _, _ in _MISSPELLED])
+def test_unknown_key_exit_2_naming_its_path(tmp_path, capsys, section, key, typo):
+    document = base_spec()
+    node = document
+    for name in section:
+        node = node[name]
+    node[typo] = node.pop(key) if key else "nats"
+    field = ".".join(section + (typo,))
+    spec_path = write_spec(tmp_path, document)
+    with pytest.raises(SpecError, match=f"^unknown key {re.escape(field)}$"):
+        load_runspec(spec_path)
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == f"error: unknown key {field}\n"
+
+
+@pytest.mark.parametrize("matrix, field", [
+    ([["a", "b"], [0.2, 0.8]], "source.obs_channel[0][0]"),
+    ([[0.8, 0.2], [1.0]], "source.obs_channel[1]"),
+    ([[True, 0.0], [0.2, 0.8]], "source.obs_channel[0][0]"),
+], ids=["strings", "ragged", "bool"])
+def test_malformed_matrix_entry_exit_2_naming_it(tmp_path, capsys, matrix, field):
+    document = base_spec()
+    document["source"]["obs_channel"] = matrix
+    spec_path = write_spec(tmp_path, document)
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rate", [2.0, 1e5, 1e6, 1e300])
+def test_huge_codebook_exit_2_naming_the_index_cap(tmp_path, capsys, rate):
+    # the count is refused before e^{n(R+eps)} is formed: e^{2e7} alone
+    # would hold millions of digits
+    document = base_spec()
+    document["scheme"]["rates"] = [rate]
+    spec_path = write_spec(tmp_path, document)
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds the {coding.MAX_TOTAL_CODEWORDS} index cap" in err
+    assert err.count("\n") == 1
+
+
+def test_large_negative_exponent_is_an_empty_codebook(tmp_path, capsys):
+    document = base_spec()
+    document["scheme"]["epsilons"]["slacks"] = [-1e300]
+    spec_path = write_spec(tmp_path, document)
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+    assert "is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_64_bits_exit_2(tmp_path, capsys, seed):
+    # rng.derive_key reduces a seed mod 2**64, so these would replay the
+    # rows of a seed in range
+    document = base_spec()
+    document["experiment"]["seed"] = seed
+    spec_path = write_spec(tmp_path, document)
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 2
+    assert "experiment.seed" in capsys.readouterr().err
+    spec_path = write_spec(tmp_path, base_spec(), name="valid.json")
+    assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv"), seed_override=seed) == 2
+    assert "--seed-override" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_largest_seed_accepted():
+    document = base_spec()
+    document["experiment"]["seed"] = 2**64 - 1
+    assert parse_runspec(document).seed == 2**64 - 1
+
+
+def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
+    # numpy and scipy are the only runtime dependencies; a fresh process
+    # shows what importing, loading a spec and simulating pull in
+    spec_path = write_spec(tmp_path, base_spec())
+    script = (
+        "import sys\n"
+        "import coordsim\n"
+        "from coordsim import cli\n"
+        f"coordsim.load_runspec({spec_path!r})\n"
+        f"assert cli.cmd_simulate({spec_path!r}, {str(tmp_path / 'out.csv')!r}) == 0\n"
+        "print(sorted({'jsonschema', 'mpmath'} & set(sys.modules)))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestCodebookSpec:
         spec = CodebookSpec.direct(1, log_size, 0.0, Pmf.uniform(2), 1, 0)
         assert spec.num_codewords in (10**12 - 1, 10**12)
 
+    def test_floor_and_ceil_exp_next_to_integers(self):
+        # at log(k) and its two float neighbours e^x lies within ulps of k;
+        # the oracle brackets x between logarithms of integers, without exp
+        context = Context(prec=60)
+        ln = [None] + [context.ln(Decimal(m)) for m in range(1, 5001)]
+        for k in range(1, 5000):
+            log_k = math.log(k)
+            for x in (math.nextafter(log_k, -math.inf), log_k,
+                      math.nextafter(log_k, math.inf)):
+                exact = Decimal(x)
+                near = [m for m in (k - 1, k, k + 1) if m >= 1]
+                assert coding._floor_exp(x) == max(
+                    (m for m in near if ln[m] <= exact), default=0)
+                assert coding._ceil_exp(x) == min(m for m in near if ln[m] >= exact)
+
 
 class TestCodewords:
     def test_determinism(self):
@@ -78,7 +94,7 @@ class TestCodewords:
         assert not np.array_equal(codeword_block(a, [0]), codeword_block(b, [0]))
 
     def test_point_mass_output_constant(self):
-        spec = CodebookSpec.direct(20, 0.2, 0.0, Pmf.point_mass(2, 1), 7, 0)
+        spec = CodebookSpec.direct(20, 0.2, 0.0, Pmf([0.0, 1.0]), 7, 0)
         assert np.all(codeword_block(spec, [0]) == 1)
 
     def test_index_bounds(self):

@@ -178,7 +178,7 @@ class TestRunExperiment:
         # action sequence itself is typical, encoding finds a near-copy and
         # the trial succeeds; nothing can fail at the decoder or final check
         p0 = Pmf.uniform(2)
-        ident = CondPmf.identity(2)
+        ident = CondPmf(np.eye(2))
         triple = compose_markov(p0, ident, ident)
         scheme = DirectSchemeConfig(rates=(math.log(2) + 0.1,), slacks=(0.1,),
                                     epsilon=0.8, triple=triple)

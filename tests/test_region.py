@@ -26,14 +26,14 @@ def flip_query(obs_flip=0.2, target_flip=0.38, p0=None, delta=None):
 class TestRates:
     def test_constant_output_channel_zero_rate(self):
         query = flip_query()
-        q = CondPmf.constant(2, 0, 2)
+        q = CondPmf([[1.0, 0.0], [1.0, 0.0]])
         assert finite_agent_rate(q, query) == 0.0
         assert per_agent_rate(q, query) == 0.0
 
     def test_noiseless_identity_gives_source_entropy(self):
-        query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf.identity(2),
-                            target=CondPmf.identity(2))
-        assert finite_agent_rate(CondPmf.identity(2), query) == \
+        query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf(np.eye(2)),
+                            target=CondPmf(np.eye(2)))
+        assert finite_agent_rate(CondPmf(np.eye(2)), query) == \
             pytest.approx(math.log(2), abs=1e-12)
 
     def test_finite_rate_matches_composed_mutual_information(self):
@@ -57,7 +57,7 @@ class TestRates:
                 pytest.approx(conditional_mutual_information(triple), abs=1e-12)
 
     def test_noiseless_observation_kills_per_agent_rate(self):
-        query = RegionQuery(p0=Pmf([0.3, 0.7]), obs_channel=CondPmf.identity(2),
+        query = RegionQuery(p0=Pmf([0.3, 0.7]), obs_channel=CondPmf(np.eye(2)),
                             target=CondPmf.binary_flip(0.25))
         generator = np.random.default_rng(8)
         for _ in range(10):
@@ -88,7 +88,7 @@ class TestFidelityFloor:
     def test_noiseless_observation_always_reaches(self):
         generator = np.random.default_rng(55)
         for _ in range(10):
-            query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf.identity(2),
+            query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf(np.eye(2)),
                                 target=CondPmf(generator.dirichlet(np.ones(2), size=2)))
             dmin, _ = min_achievable_delta(query)
             assert dmin <= 1e-9
@@ -96,7 +96,7 @@ class TestFidelityFloor:
     def test_matches_dense_grid(self):
         # strongly noisy observation vs identity target: the floor is positive
         query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.4),
-                            target=CondPmf.identity(2))
+                            target=CondPmf(np.eye(2)))
         dmin, _ = min_achievable_delta(query)
         ticks = np.linspace(0.0, 1.0, 1001)
         a, b = np.meshgrid(ticks, ticks, indexing="ij")
@@ -116,7 +116,7 @@ class TestFidelityFloor:
 class TestConstrainedMinima:
     def test_infeasible_radius_reported(self):
         query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.4),
-                            target=CondPmf.identity(2), delta=0.0)
+                            target=CondPmf(np.eye(2)), delta=0.0)
         point = min_per_agent_rate(query)
         assert not point.feasible
         assert point.rate == math.inf

@@ -47,15 +47,15 @@ class TestDrawActions:
         assert not np.array_equal(a.x_seq, b.x_seq)
 
     def test_identity_channel_copies_action(self):
-        cfg = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.identity(2),
+        cfg = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf(np.eye(2)),
                            L=3, n=50)
         draw = draw_actions(cfg, seed=5, trial_index=0)
         for agent in range(3):
             assert np.array_equal(draw.xhat_seqs[agent], draw.x_seq)
 
     def test_point_mass_source_constant(self):
-        cfg = SourceConfig(p0=Pmf.point_mass(2, 1),
-                           obs_channel=CondPmf.identity(2), L=1, n=40)
+        cfg = SourceConfig(p0=Pmf([0.0, 1.0]),
+                           obs_channel=CondPmf(np.eye(2)), L=1, n=40)
         draw = draw_actions(cfg, seed=5, trial_index=0)
         assert np.all(draw.x_seq == 1)
 
