@@ -17,8 +17,10 @@ Codebooks are lazy: a codeword is a pure function of
 (seed, agent, bin, word, position), so arbitrarily large books cost nothing
 until scanned.  A scanned prefix is generated once and kept on its
 CodebookSpec (up to _PREFIX_CAP_BYTES), so later scans of the same book read
-it instead of regenerating it.  Every trial receives exactly one error-case
-label:
+it instead of regenerating it.  The store keeps each codeword as |Y| - 1 bit
+planes (plane s marks the positions holding symbol s), and the scan counts a
+batch's joint types by popcounts of those planes ANDed with the
+observation's.  Every trial receives exactly one error-case label:
 
     A    some (action, observation) pair is not eps'-typical, eps' = eps/(2|X|)
     B    encoder failure on the non-A path (including scan-budget stops)
@@ -50,8 +52,9 @@ MAX_TOTAL_CODEWORDS = 2**48
 _SCAN_BATCH_START = 64
 _SCAN_BATCH_MAX = 8192
 
-# bytes of scanned prefix one CodebookSpec keeps; scans reaching past it
-# generate the rest of their codewords on the fly
+# bytes of scanned prefix one CodebookSpec keeps, at (|Y| - 1) * 8 * ceil(n/64)
+# bytes a codeword; scans reaching past it generate the rest of their
+# codewords on the fly
 _PREFIX_CAP_BYTES = 16 * 2**20
 
 
@@ -111,7 +114,7 @@ class CodebookSpec:
     """Lazy random codebook: bins x words-per-bin sequences i.i.d. from p_y.
 
     A direct-scheme book is the degenerate case words_per_bin == 1.  The
-    prefix an encoder has scanned is kept on the instance (see _rows); it
+    prefix an encoder has scanned is kept on the instance (see _planes); it
     is not a field, so equality and repr ignore it.
     """
 
@@ -156,39 +159,50 @@ class CodebookSpec:
         return cls(n=n, p_y=p_y, seed=seed, agent_id=agent_id,
                    num_bins=bins, words_per_bin=words)
 
-    def _rows(self, start: int, stop: int, reach: int) -> np.ndarray:
-        """Codewords at flat indices start..stop-1, as rows of the smallest
-        unsigned dtype that holds |Y| - 1.
+    def _planes(self, start: int, stop: int, reach: int) -> np.ndarray:
+        """Codewords at flat indices start..stop-1 as bit planes (see
+        _bit_planes): shape (|Y| - 1, ceil(n/64), stop - start), uint64.
 
-        Rows come from a prefix store that grows geometrically, by calling
+        Planes come from a prefix store that grows geometrically, by calling
         codeword_block on the missing indices only, up to `reach` (how far
-        the calling scan may go) and _PREFIX_CAP_BYTES; rows past the store
-        are generated on the fly.  Codewords are pure functions of their
-        index, so stored and regenerated rows are bit-identical.
+        the calling scan may go) and _PREFIX_CAP_BYTES; codewords past the
+        store are generated and packed on the fly.  Codewords are pure
+        functions of their index, so stored and regenerated planes are
+        bit-identical.
         """
-        dtype = np.min_scalar_type(self.p_y.size - 1)
         store = self.__dict__.get("_prefix")
+        if store is not None and stop <= store.shape[2]:
+            return store[:, :, start:stop]
+        planes, words = self.p_y.size - 1, -(-self.n // 64)
         if store is None:
-            store = np.empty((0, self.n), dtype=dtype)
-        cap = min(reach, _PREFIX_CAP_BYTES // (self.n * dtype.itemsize))
-        have = len(store)
-        if stop > have and have < cap:
-            grown = np.empty((min(max(stop, 2 * have), cap), self.n), dtype=dtype)
-            grown[:have] = store
-            grown[have:] = codeword_block(self, np.arange(have, len(grown), dtype=np.int64))
+            store = np.empty((planes, words, 0), dtype=np.uint64)
+        # a book with |Y| = 1 has no planes; its empty codewords count as a byte
+        cap = min(reach, _PREFIX_CAP_BYTES // max(1, 8 * planes * words))
+        have = store.shape[2]
+        if have < cap:
+            grown = np.empty((planes, words, min(max(stop, 2 * have), cap)), dtype=np.uint64)
+            grown[:, :, :have] = store
+            # a batch at a time: growing the store holds no more generated
+            # codewords at once than a scan batch does
+            for lo in range(have, grown.shape[2], _SCAN_BATCH_MAX):
+                hi = min(lo + _SCAN_BATCH_MAX, grown.shape[2])
+                grown[:, :, lo:hi] = _bit_planes(
+                    codeword_block(self, np.arange(lo, hi, dtype=np.int64)), planes)
             grown.setflags(write=False)
             object.__setattr__(self, "_prefix", grown)
             store = grown
-        if stop <= len(store):
-            return store[start:stop]
-        tail = codeword_block(self, np.arange(max(start, len(store)), stop, dtype=np.int64))
-        return np.concatenate([store[start:stop], tail.astype(dtype)])
+        if stop <= store.shape[2]:
+            return store[:, :, start:stop]
+        tail = codeword_block(self, np.arange(max(start, store.shape[2]), stop, dtype=np.int64))
+        return np.concatenate([store[:, :, start:stop], _bit_planes(tail, planes)], axis=2)
 
     def _word(self, flat: int) -> np.ndarray:
-        """The codeword at one flat index as int64: read from the prefix
-        store when the store holds it, else generated alone (a reach of 0
-        never grows the store)."""
-        return self._rows(flat, flat + 1, 0)[0].astype(np.int64)
+        """The codeword at one flat index as int64: unpacked from the prefix
+        store when the store holds it, else generated alone."""
+        store = self.__dict__.get("_prefix")
+        if store is None or flat >= store.shape[2]:
+            return codeword_block(self, np.array([flat], dtype=np.int64))[0]
+        return _symbols(store[:, :, flat:flat + 1], self.n)[0]
 
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
@@ -200,7 +214,7 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
 
     Symbols are i.i.d. from p_y across fresh indices and bit-identical on
     replay; nothing is cached or materialized beyond the requested block
-    (encoder scans keep their prefix through CodebookSpec._rows).
+    (encoder scans keep their prefix through CodebookSpec._planes).
     """
     flat = np.asarray(flat_indices, dtype=np.int64)
     if flat.size and (flat.min() < 0 or flat.max() >= spec.num_codewords):
@@ -213,6 +227,29 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     state = rng.fold(h[:, None], positions[None, :])
     u = (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
     return rng.categorical(u, rng.right_closed_cdf(spec.p_y.probs))
+
+
+def _bit_planes(seqs: np.ndarray, planes: int) -> np.ndarray:
+    """The first `planes` bit planes of the sequences seqs (shape (k, n)),
+    plane-major: shape (planes, ceil(n/64), k), uint64.  Bit i of word w
+    of plane s in column j is set iff seqs[j, 64 w + i] == s; padding bits
+    are clear."""
+    k, n = seqs.shape
+    words = -(-n // 64)
+    hot = np.zeros((planes, k, 64 * words), dtype=bool)
+    np.equal(seqs, np.arange(planes)[:, None, None], out=hot[:, :, :n])
+    packed = np.packbits(hot, bitorder="little").view("<u8")
+    return packed.reshape(planes, k, words).transpose(0, 2, 1)
+
+
+def _symbols(planes: np.ndarray, n: int) -> np.ndarray:
+    """The length-n sequences whose |Y| - 1 bit planes these are (the
+    inverse of _bit_planes over |Y| symbols): shape (k, n), int64.  A
+    position set in no plane holds the last symbol, |Y| - 1."""
+    last = planes.shape[0]
+    bits = np.unpackbits(np.ascontiguousarray(planes.transpose(2, 0, 1), dtype="<u8")
+                         .view(np.uint8), axis=2, count=n, bitorder="little")
+    return last - np.dot(np.arange(last, 0, -1), bits)
 
 
 class _SchemeConfig:
@@ -332,29 +369,22 @@ class TrialOutcome:
             raise ValueError("tv_realized must lie in [0, 1]")
 
 
-def _one_hot(x, sx: int):
-    """The one-hot of the sequence x as sx rows of length n, and the type of
-    x as an (sx, 1) column, in the float dtype _cell_counts sums in: sums of
-    0/1 products are exact in float32 while n < 2**24, and in float64 up to
-    2**53."""
-    ftype = np.float32 if x.shape[-1] < 2**24 else np.float64
-    hot = (x == np.arange(sx)[:, None]).astype(ftype)
-    return hot, hot.sum(axis=1, keepdims=True)
+def _plane_counts(y_planes, x_planes, x_type) -> np.ndarray:
+    """Cell counts of the pairs (x, y_k) of one sequence x against each
+    codeword y_k of a batch, laid out [a, b, k] like count_bounds' tables:
+    the number of positions where x is a and y_k is b.  Shape
+    (|X|, |Y|, batch), int64.
 
-
-def _cell_counts(x_hot, x_type, y, sy: int) -> np.ndarray:
-    """Cell counts of the pairs (x, y_k) of one sequence x, given by
-    _one_hot, against each row y_k of a batch, laid out [b, a, k]: the
-    number of positions where y_k is b and x is a.  Shape (sy, sx, batch),
-    exact integers in x_hot's dtype.
-
-    One stacked matmul counts every output symbol but the last, whose
-    counts are the type of x minus the others.
+    y_planes are the batch's |Y| - 1 bit planes, x_planes the |X| planes of
+    x with a batch axis of 1 and x_type its type as an (|X|, 1) column.  One
+    popcount of the planes' intersections counts every output symbol but
+    the last, whose counts are the type of x minus the others.
     """
-    out = np.empty((sy, x_hot.shape[0], len(y)), dtype=x_hot.dtype)
-    y_hot = (y == np.arange(sy - 1, dtype=y.dtype)[:, None, None]).astype(x_hot.dtype)
-    np.matmul(x_hot, y_hot.transpose(0, 2, 1), out=out[:-1])
-    np.subtract(x_type, out[:-1].sum(axis=0), out=out[-1])
+    out = np.empty((len(x_planes), len(y_planes) + 1, y_planes.shape[2]), dtype=np.int64)
+    # ufunc reductions, not np.sum: on a 64-codeword batch the wrapper costs
+    # as much as the counting
+    np.add.reduce(np.bitwise_count(x_planes[:, None] & y_planes), axis=2, out=out[:, :-1])
+    np.subtract(x_type, np.add.reduce(out[:, :-1], axis=1), out=out[:, -1])
     return out
 
 
@@ -369,23 +399,23 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     index, budget stops included.  Codewords are read from the spec's prefix
     store, which the scan grows to at most min(num_codewords, budget) and a
     fixed byte cap, so repeated scans of one book generate each stored
-    codeword once.  The one-hot of the observation and its type are built
-    once per call, and each batch's count tables are tested against the
+    codeword once.  The bit planes of the observation and its type are
+    built once per call, and each batch's count tables are tested against the
     bounds as one flat (cells, batch) comparison.
     """
     xhat = np.asarray(xhat, dtype=np.int64)
     pair = cfg.pair_obs_out
     sx, sy = pair.shape
-    x_hot, x_type = _one_hot(xhat, sx)
+    x_planes = _bit_planes(xhat[None], sx)
+    x_type = np.bincount(xhat, minlength=sx)[:, None]
     # one bound per row of the flat (cells, batch) count table
-    lo, hi = (bound.T.reshape(-1, 1).astype(x_type.dtype)
-              for bound in count_bounds(pair, spec.n, cfg.epsilon))
+    lo, hi = (bound.reshape(-1, 1) for bound in count_bounds(pair, spec.n, cfg.epsilon))
     limit = spec.num_codewords if budget is None else min(spec.num_codewords, budget)
     pos = 0
     batch = _SCAN_BATCH_START
     while pos < limit:
         take = min(batch, limit - pos)
-        counts = _cell_counts(x_hot, x_type, spec._rows(pos, pos + take, limit), sy)
+        counts = _plane_counts(spec._planes(pos, pos + take, limit), x_planes, x_type)
         counts = counts.reshape(sx * sy, take)
         hits = np.logical_and.reduce((counts >= lo) & (counts <= hi)).nonzero()[0]
         if hits.size:
@@ -426,10 +456,12 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
-def _first_unique(rows, radices) -> np.ndarray:
-    """Indices of the first occurrence of each distinct column of the
-    nonnegative integer rows (equal-length 1-d arrays), row f staying below
-    radices[f].
+def _first_unique(rows, radices) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of the nonnegative integer rows (equal-length
+    1-d arrays), row f staying below radices[f], in lexicographic order:
+    the index of each one's first occurrence, and for every column the
+    position of its value among them (np.unique's return_index and
+    return_inverse on the columns).
 
     Rows are packed mixed-radix into as few int64 keys as hold them, so the
     packing cannot overflow however many rows there are.
@@ -448,7 +480,9 @@ def _first_unique(rows, radices) -> np.ndarray:
     for k in keys:
         ranked = k[order]
         first[1:] |= ranked[1:] != ranked[:-1]
-    return order[first]
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
@@ -502,7 +536,7 @@ def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
         if not keep.size:
             return np.zeros(hists.shape[0], dtype=bool)
         keep = keep[_first_unique([owner[keep], *states[:, :, keep].reshape(sx * sy, -1)],
-                                  radices)]
+                                  radices)[0]]
         states, owner = states[:, :, keep], owner[keep]
 
     # the last class: m[a] * classes[-1] must fit between the state and the bounds
@@ -568,11 +602,12 @@ def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs) -> BinnedDecodeRe
     hist = np.bincount((np.arange(num_tuples)[:, None] * present.size
                         + column_class.reshape(num_tuples, n)).reshape(-1),
                        minlength=num_tuples * present.size).reshape(num_tuples, -1)
-    hists, tuple_hist = np.unique(hist, axis=0, return_inverse=True)
+    firsts, tuple_hist = _first_unique(hist.T, [n + 1] * present.size)
+    hists = hist[firsts]
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
     feasible = _feasible_histograms(hists, classes[present], lo, hi)
-    matches = np.flatnonzero(feasible[tuple_hist.reshape(-1)])
+    matches = np.flatnonzero(feasible[tuple_hist])
     if matches.size == 1:
         chosen = tuple(int(v) for v in np.unravel_index(matches[0], (words,) * num_agents))
         return BinnedDecodeResult(matches_found=1, v_tuple=chosen, y_seq=books[0][chosen[0]])

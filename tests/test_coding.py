@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from coordsim import coding, rng
 from coordsim.coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DirectSchemeConfig,
-                             EncodeResult, ErrorCase, _cell_counts, _first_unique,
-                             _one_hot, binned_specs, codeword_block, decode_binned, decode_direct,
+                             EncodeResult, ErrorCase, _bit_planes, _first_unique,
+                             _plane_counts, _symbols, binned_specs, codeword_block,
+                             decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
@@ -197,51 +198,68 @@ def _law(data, size):
     return np.array(weights) / sum(weights)
 
 
+def _plane_bytes(sy, n):
+    """Bytes the prefix store keeps per codeword: |Y| - 1 planes of
+    ceil(n/64) uint64 words."""
+    return (sy - 1) * 8 * -(-n // 64)
+
+
+# blocklengths on either side of the 64-bit word boundaries
+_WORD_EDGES = (63, 64, 65, 128, 129)
+
+
 class TestScanPrefixStore:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data(), sx=st.integers(1, 3), sy=st.integers(1, 3),
-           n=st.integers(1, 24), words=st.integers(1, 3),
-           epsilon=st.floats(0.05, 3.0), seed=st.integers(0, 2**31 - 1),
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data(), sx=st.integers(1, 3), sy=st.integers(1, 3), n=st.integers(1, 200),
+           words=st.integers(1, 3), epsilon=st.floats(0.05, 3.0),
+           seed=st.integers(0, 2**31 - 1),
            cap_rows=st.one_of(st.none(), st.integers(0, 300)))
     def test_cached_scan_equals_uncached(self, data, sx, sy, n, words, epsilon, seed,
                                          cap_rows):
         triple = JointPmf(_law(data, sx * sx * sy).reshape(sx, sx, sy))
         cfg = DirectSchemeConfig(rates=(0.1,), slacks=(0.0,), epsilon=epsilon,
                                  triple=triple)
-        bins = data.draw(st.integers(1, 1500))
-        spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
-                            num_bins=bins, words_per_bin=words)
-        # one spec serves every scan, so later (and shorter) scans read the
-        # store earlier ones grew
-        scans = data.draw(st.lists(
-            st.tuples(st.lists(st.integers(0, sx - 1), min_size=n, max_size=n),
-                      st.one_of(st.none(), st.integers(1, 3000))),
-            min_size=1, max_size=4))
-        with pytest.MonkeyPatch.context() as patch:
-            if cap_rows is not None:
-                patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * n)
-            for xhat, budget in scans:
-                xhat = np.array(xhat, dtype=np.int64)
-                assert encode_direct(xhat, cfg, spec, budget) == \
-                    _reference_scan(xhat, cfg, spec, budget)
+        # every example also scans books next to each 64-bit word boundary
+        for n in (n, *_WORD_EDGES):
+            bins = data.draw(st.integers(1, 1500))
+            spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
+                                num_bins=bins, words_per_bin=words)
+            # one spec serves every scan, so later (and shorter) scans read
+            # the store earlier ones grew
+            scans = data.draw(st.lists(
+                st.tuples(st.lists(st.integers(0, sx - 1), min_size=n, max_size=n),
+                          st.one_of(st.none(), st.integers(1, 3000))),
+                min_size=1, max_size=4))
+            with pytest.MonkeyPatch.context() as patch:
+                if cap_rows is not None:
+                    patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * _plane_bytes(sy, n))
+                for xhat, budget in scans:
+                    xhat = np.array(xhat, dtype=np.int64)
+                    assert encode_direct(xhat, cfg, spec, budget) == \
+                        _reference_scan(xhat, cfg, spec, budget)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(data=st.data(), sy=st.sampled_from((1, 2, 3, 257)), n=st.integers(1, 9),
+    @given(data=st.data(), sy=st.sampled_from((1, 2, 3, 257)),
+           n=st.one_of(st.integers(1, 9), st.sampled_from(_WORD_EDGES)),
            cap_rows=st.integers(0, 400), seed=st.integers(0, 2**31 - 1))
     def test_rows_equal_generated_codewords(self, data, sy, n, cap_rows, seed):
         spec = CodebookSpec(n=n, p_y=Pmf.uniform(sy), seed=seed, agent_id=3,
                             num_bins=900, words_per_bin=1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * n * (1 if sy <= 256 else 2))
+            patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * max(1, _plane_bytes(sy, n)))
             for _ in range(data.draw(st.integers(1, 5))):
                 reach = data.draw(st.integers(1, 900))
                 stop = data.draw(st.integers(1, reach))
                 start = data.draw(st.integers(0, stop - 1))
-                rows = spec._rows(start, stop, reach)
-                assert rows.dtype == (np.uint8 if sy <= 256 else np.uint16)
-                assert np.array_equal(rows, codeword_block(spec, np.arange(start, stop)))
-        stored = vars(spec).get("_prefix", np.empty((0, n)))
-        assert np.array_equal(stored, codeword_block(spec, np.arange(len(stored))))
+                planes = spec._planes(start, stop, reach)
+                assert planes.dtype == np.uint64
+                assert planes.shape == (sy - 1, -(-n // 64), stop - start)
+                assert np.array_equal(_symbols(planes, n),
+                                      codeword_block(spec, np.arange(start, stop)))
+        stored = vars(spec).get("_prefix", np.empty((sy - 1, -(-n // 64), 0), np.uint64))
+        assert stored.shape[2] <= cap_rows
+        assert np.array_equal(_symbols(stored, n),
+                              codeword_block(spec, np.arange(stored.shape[2])))
 
     def test_store_is_generated_once_and_not_a_field(self, monkeypatch):
         spec = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=1,
@@ -254,7 +272,9 @@ class TestScanPrefixStore:
             return original(spec, flat)
 
         monkeypatch.setattr(coding, "codeword_block", counting)
-        cfg = direct_scheme(epsilon=0.01)
+        triple = compose_markov(Pmf.uniform(2), CondPmf.binary_flip(0.2),
+                                CondPmf([[0.5, 0.0, 0.5]] * 2))
+        cfg = DirectSchemeConfig(rates=(0.35,), slacks=(0.0,), epsilon=0.01, triple=triple)
         xhat = np.zeros(12, dtype=np.int64)
         first = encode_direct(xhat, cfg, spec, budget=3000)
         assert not first.found and first.search_cost == 3000
@@ -265,23 +285,33 @@ class TestScanPrefixStore:
         # a scan reaching further extends the store by the missing rows only
         encode_direct(xhat, cfg, spec, budget=4000)
         assert sum(generated) == 4000
-        assert spec._rows(0, 4000, 4000).dtype == np.uint8
+        planes = spec._planes(0, 4000, 4000)
+        assert planes.dtype == np.uint64 and planes.shape == (2, 1, 4000)
+        assert sum(generated) == 4000
+        assert np.array_equal(_symbols(planes, 12), original(spec, np.arange(4000)))
         fresh = dataclasses.replace(spec)
         assert fresh == spec and repr(fresh) == repr(spec)
         assert "_prefix" in vars(spec) and "_prefix" not in vars(fresh)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(sx=st.integers(1, 3), sy=st.integers(1, 3), n=st.integers(1, 40),
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), sx=st.integers(1, 4), sy=st.integers(1, 4),
+           n=st.one_of(st.integers(1, 200), st.sampled_from(_WORD_EDGES)),
            batch=st.integers(0, 20), seed=st.integers(0, 2**31 - 1))
-    def test_cell_counts_equal_bincount(self, sx, sy, n, batch, seed):
-        gen = np.random.default_rng(seed)
-        x = gen.integers(0, sx, n)
-        y = gen.integers(0, sy, (batch, n)).astype(np.uint8)
+    def test_plane_counts_equal_bincount(self, data, sx, sy, n, batch, seed):
+        # the batch's planes come from the prefix store, so |Y| = 1 (no
+        # planes, no store bytes) also runs the store's cap arithmetic
+        spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
+                            num_bins=max(batch, 1), words_per_bin=1)
+        y = codeword_block(spec, np.arange(batch))
+        x = np.random.default_rng(seed).integers(0, sx, n)
         expected = np.array([np.bincount(x * sy + row, minlength=sx * sy)
-                             for row in y.astype(np.int64)]).reshape(batch, sx, sy)
-        counts = _cell_counts(*_one_hot(x, sx), y, sy)
-        assert counts.dtype == np.float32 and counts.shape == (sy, sx, batch)
-        assert np.array_equal(counts, expected.transpose(2, 1, 0))
+                             for row in y]).reshape(batch, sx, sy)
+        x_planes = _bit_planes(x[None], sx)
+        assert x_planes.shape == (sx, -(-n // 64), 1)
+        counts = _plane_counts(spec._planes(0, batch, batch), x_planes,
+                               np.bincount(x, minlength=sx)[:, None])
+        assert counts.dtype == np.int64 and counts.shape == (sx, sy, batch)
+        assert np.array_equal(counts, expected.transpose(1, 2, 0))
 
 
 def _uniforms_of(spec, flat):
@@ -472,9 +502,11 @@ def test_first_unique_packs_wide_rows_into_several_keys():
     rows = np.random.default_rng(3).integers(0, 50, (20, 400))
     rows[:, 200:] = rows[:, :200]
     rows[-1, 300:] = (rows[-1, 300:] + 1) % 50
-    first = _first_unique(list(rows), [50] * 20)
-    _, expected = np.unique(rows.T, axis=0, return_index=True)
-    assert sorted(first) == sorted(expected)
+    first, inverse = _first_unique(list(rows), [50] * 20)
+    _, expected, expected_inverse = np.unique(rows.T, axis=0, return_index=True,
+                                              return_inverse=True)
+    assert np.array_equal(first, expected)
+    assert np.array_equal(inverse, expected_inverse.reshape(-1))
     assert len(first) == 300
 
 
