@@ -8,6 +8,8 @@ sequences to a target law, and computes the inner-bound rate regions (exact
 and within a total-variation radius) those schemes achieve.
 """
 
+import importlib
+
 from .probkit import (CondPmf, JointPmf, Pmf, compose_markov,
                       conditional_mutual_information, entropy, joint_type,
                       mutual_information, tv_distance)
@@ -19,14 +21,27 @@ from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                      ErrorCase, TrialOutcome, codeword_block, decode_binned, decode_direct,
                      encode_binned, encode_direct, run_binned_trial,
                      run_direct_trial)
-from .region import (CurvePoint, RegionPoint, RegionQuery, finite_agent_rate,
-                     min_achievable_delta, min_finite_agent_rate,
-                     min_per_agent_rate, per_agent_rate, rate_delta_curve)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
 from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
 
 __version__ = "0.1.0"
+
+# The region solver is the only user of scipy.optimize, whose import costs
+# more than most simulate runs; its names load on first use (PEP 562).
+_REGION_NAMES = frozenset((
+    "RegionQuery", "RegionPoint", "CurvePoint", "finite_agent_rate",
+    "per_agent_rate", "min_achievable_delta", "min_per_agent_rate",
+    "min_finite_agent_rate", "rate_delta_curve"))
+
+
+def __getattr__(name: str):
+    if name == "region" or name in _REGION_NAMES:
+        # import_module, not `from . import region`: the latter asks this
+        # hook for the attribute first and would recurse
+        region = importlib.import_module(".region", __name__)
+        return region if name == "region" else getattr(region, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Pmf", "CondPmf", "JointPmf",

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 
-from . import region as region_mod
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
 from .probkit import CondPmf
@@ -63,9 +62,11 @@ def _aux_for_delta(spec: RunSpec, delta: float, cache: dict) -> CondPmf:
         return spec.aux_channel
     if delta in cache:
         return cache[delta]
+    from . import region
+
     query = spec.region_query(delta)
-    solve = (region_mod.min_finite_agent_rate if spec.scheme_kind == "direct"
-             else region_mod.min_per_agent_rate)
+    solve = (region.min_finite_agent_rate if spec.scheme_kind == "direct"
+             else region.min_per_agent_rate)
     point = solve(query)
     cache[delta] = point.q_star
     return point.q_star
@@ -141,9 +142,11 @@ def cmd_region(spec_path: str, out_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 
+    from . import region
+
     query = spec.region_query()
-    delta_min, _ = region_mod.min_achievable_delta(query)
-    curve = region_mod.rate_delta_curve(query, spec.region_delta_grid)
+    delta_min, _ = region.min_achievable_delta(query)
+    curve = region.rate_delta_curve(query, spec.region_delta_grid)
 
     lines = [f"# {REGION_CSV_VERSION}",
              f"# delta_min={_fmt(delta_min)}",

@@ -406,6 +406,9 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     xhat = np.asarray(xhat, dtype=np.int64)
     pair = cfg.pair_obs_out
     sx, sy = pair.shape
+    if spec.p_y.size != sy:
+        raise ValueError(f"codebook alphabet has {spec.p_y.size} symbols but the "
+                         f"design pair's output alphabet has {sy}")
     x_planes = _bit_planes(xhat[None], sx)
     x_type = np.bincount(xhat, minlength=sx)[:, None]
     # one bound per row of the flat (cells, batch) count table

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -132,6 +131,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
     if workers <= 1 or len(blocks) <= 1:
         results = [_run_block(cfg, lo, hi) for lo, hi in blocks]
     else:
+        # multiprocessing loads only for runs that fan out
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_run_block, itertools.repeat(cfg),

@@ -15,13 +15,16 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coding import BinnedSchemeConfig, DirectSchemeConfig
 from .probkit import CondPmf, JointPmf, Pmf, compose_markov
-from .region import RegionQuery
 from .source import SourceConfig
+
+if TYPE_CHECKING:
+    from .region import RegionQuery
 
 ROW_SUM_TOL = 1e-9
 
@@ -57,6 +60,8 @@ class RunSpec:
     region_delta_grid: tuple[float, ...] | None
 
     def region_query(self, delta: float | None = None) -> RegionQuery:
+        from .region import RegionQuery
+
         return RegionQuery(p0=self.p0, obs_channel=self.obs_channel,
                            target=self.target, delta=delta)
 
@@ -236,6 +241,9 @@ def parse_runspec(document: dict) -> RunSpec:
         if "seed" in solver:
             _number(solver["seed"], "region.solver.seed", integer=True)
 
+    if delta_grid is not None or aux is None:
+        # this run will call the solver: pay the scipy.optimize import in set-up
+        from . import region  # noqa: F401
     return RunSpec(
         x_size=x_size, y_size=y_size, p0=Pmf(p0 / p0.sum()), obs_channel=obs,
         target=target, scheme_kind=kind, rates=rates, epsilons=epsilons,

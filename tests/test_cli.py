@@ -393,23 +393,66 @@ def test_largest_seed_accepted():
     assert parse_runspec(document).seed == 2**64 - 1
 
 
-def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
-    # numpy and scipy are the only runtime dependencies; a fresh process
-    # shows what importing, loading a spec and simulating pull in
-    spec_path = write_spec(tmp_path, base_spec())
-    script = (
-        "import sys\n"
-        "import coordsim\n"
-        "from coordsim import cli\n"
-        f"coordsim.load_runspec({spec_path!r})\n"
-        f"assert cli.cmd_simulate({spec_path!r}, {str(tmp_path / 'out.csv')!r}) == 0\n"
-        "print(sorted({'jsonschema', 'mpmath'} & set(sys.modules)))\n")
+def fresh_python(script: str) -> str:
+    """Standard output of `script` run in a new interpreter on this source
+    tree; the test process has imported far more than a CLI run does."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def pinned_run_script(spec_path: str, out_path: str, modules: set) -> str:
+    return ("import sys\n"
+            "import coordsim\n"
+            "from coordsim import cli\n"
+            f"coordsim.load_runspec({spec_path!r})\n"
+            f"assert cli.cmd_simulate({spec_path!r}, {out_path!r}) == 0\n"
+            f"print(sorted({modules!r} & set(sys.modules)))\n")
+
+
+def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
+    # numpy and scipy are the only runtime dependencies; a fresh process
+    # shows what importing, loading a spec and simulating pull in
+    spec_path = write_spec(tmp_path, base_spec())
+    script = pinned_run_script(spec_path, str(tmp_path / "out.csv"), {"jsonschema", "mpmath"})
+    assert fresh_python(script) == "[]\n"
+
+
+def test_pinned_channel_run_loads_neither_the_solver_nor_a_process_pool(tmp_path):
+    # scipy.optimize serves only the region solver, and a one-worker run
+    # starts no process pool
+    document = base_spec()
+    del document["region"]
+    spec_path = write_spec(tmp_path, document)
+    script = pinned_run_script(spec_path, str(tmp_path / "out.csv"),
+                               {"scipy.optimize", "concurrent.futures.process"})
+    assert fresh_python(script) == "[]\n"
+
+
+@pytest.mark.parametrize("region, aux_channel, solver_loaded", [
+    (True, True, True),
+    (False, False, True),
+    (False, True, False),
+], ids=["region-section", "solver-chosen-channel", "pinned-channel"])
+def test_spec_loading_imports_the_solver_iff_the_run_uses_it(tmp_path, region, aux_channel,
+                                                             solver_loaded):
+    # the import is paid in set-up, so a solver-driven command's run time
+    # holds only its work
+    document = base_spec()
+    if not region:
+        del document["region"]
+    if not aux_channel:
+        del document["scheme"]["aux_channel"]
+    spec_path = write_spec(tmp_path, document)
+    script = ("import sys\n"
+              "import coordsim\n"
+              "assert 'coordsim.region' not in sys.modules\n"
+              f"coordsim.load_runspec({spec_path!r})\n"
+              "print('coordsim.region' in sys.modules)\n")
+    assert fresh_python(script) == f"{solver_loaded}\n"
 
 
 class TestVerifyCommand:

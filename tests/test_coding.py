@@ -169,6 +169,13 @@ class TestEncodeDirect:
         assert result.budget_hit
         assert result.search_cost == 17
 
+    def test_book_alphabet_must_match_the_design_output_alphabet(self):
+        ternary = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=0,
+                               num_bins=50, words_per_bin=1)
+        with pytest.raises(ValueError, match=r"\b3 symbols\b.*\bhas 2$"):
+            encode_direct(np.zeros(12, dtype=np.int64), direct_scheme(), ternary)
+        assert "_prefix" not in vars(ternary)  # refused before any codeword
+
     def test_found_result_validates(self):
         with pytest.raises(ValueError):
             EncodeResult(w=None, v=None, found=True, search_cost=1)
