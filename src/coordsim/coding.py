@@ -52,6 +52,10 @@ MAX_TOTAL_CODEWORDS = 2**48
 _SCAN_BATCH_START = 64
 _SCAN_BATCH_MAX = 8192
 
+# symbols (trials * (L + 1) * n) one chunk of a trial block draws; it caps
+# the memory a block's arrays take, whatever its trial count
+_CHUNK_POSITIONS = 2**15
+
 # bytes of scanned prefix one CodebookSpec keeps, at (|Y| - 1) * 8 * ceil(n/64)
 # bytes a codeword; scans reaching past it generate the rest of their
 # codewords on the fly
@@ -70,7 +74,10 @@ class DecoderBudgetExceeded(RuntimeError):
     Distinct from a modeled decoding error: it means the instance is too
     large to decode faithfully, not that the code failed.  The work counts
     depend only on the decoder's inputs, so a refusal replays exactly.
+    A trial runner sets trial_index to the trial whose decode it refused.
     """
+
+    trial_index: int | None = None
 
 
 class ErrorCase(str, Enum):
@@ -196,13 +203,18 @@ class CodebookSpec:
         tail = codeword_block(self, np.arange(max(start, store.shape[2]), stop, dtype=np.int64))
         return np.concatenate([store[:, :, start:stop], _bit_planes(tail, planes)], axis=2)
 
-    def _word(self, flat: int) -> np.ndarray:
-        """The codeword at one flat index as int64: unpacked from the prefix
-        store when the store holds it, else generated alone."""
+    def _words(self, flat: np.ndarray) -> np.ndarray:
+        """The codewords at the given flat indices as int64 rows, shape
+        (len(flat), n): those the prefix store holds unpacked in one call,
+        the rest generated."""
         store = self.__dict__.get("_prefix")
-        if store is None or flat >= store.shape[2]:
-            return codeword_block(self, np.array([flat], dtype=np.int64))[0]
-        return _symbols(store[:, :, flat:flat + 1], self.n)[0]
+        held = flat < (0 if store is None else store.shape[2])
+        out = np.empty((flat.size, self.n), dtype=np.int64)
+        if held.any():
+            out[held] = _symbols(store[:, :, flat[held]], self.n)
+        if not held.all():
+            out[~held] = codeword_block(self, flat[~held])
+        return out
 
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
@@ -436,16 +448,25 @@ encode_binned = encode_direct
 
 
 def decode_direct(results, specs) -> np.ndarray:
-    """Emit the codeword of the lowest-indexed successful agent; if every
-    encoder failed, fall back to agent 0's first codeword.
+    """The emitted words of a block of trials, one int64 row per trial.
 
-    The word is read, as int64, from the prefix store the agent's scan has
-    just read it from.
+    results holds, per trial, every agent's EncodeResult.  A trial emits the
+    codeword of its lowest-indexed successful agent; if every encoder
+    failed, agent 0's first codeword.  Each agent's words are read in one
+    unpack from the prefix store its scans have just read them from.
     """
-    for spec, res in zip(specs, results):
-        if res.found:
-            return spec._word(res.w * spec.words_per_bin + (res.v or 0))
-    return specs[0]._word(0)
+    agent = np.zeros(len(results), dtype=np.int64)
+    flat = np.zeros(len(results), dtype=np.int64)
+    for t, trial in enumerate(results):
+        for l, (spec, res) in enumerate(zip(specs, trial)):
+            if res.found:
+                agent[t], flat[t] = l, res.w * spec.words_per_bin + (res.v or 0)
+                break
+    words = np.empty((len(results), specs[0].n), dtype=np.int64)
+    for l in sorted(set(agent.tolist())):
+        rows = agent == l
+        words[rows] = specs[l]._words(flat[rows])
+    return words
 
 
 @lru_cache(maxsize=256)
@@ -632,74 +653,103 @@ def binned_specs(cfg: BinnedSchemeConfig, source_cfg: SourceConfig, seed: int):
         for l in range(source_cfg.L))
 
 
-def _run_trial(encode, decode, source_cfg: SourceConfig, cfg, specs,
-               seed: int, trial_index: int, budget: int | None,
-               report_target: JointPmf | None) -> TrialOutcome:
-    """Draw, encode at every agent with `encode`, decode, and label one trial.
+def _run_trials(encode, decode, source_cfg: SourceConfig, cfg, specs, seed: int,
+                trial_index: int, count: int, budget: int | None,
+                report_target: JointPmf | None) -> list[TrialOutcome]:
+    """Draw, encode at every agent with `encode`, decode, and label the
+    trials trial_index .. trial_index + count - 1, in trial order.
 
-    `decode(results)` is the scheme's decoding step; it returns the emitted
-    sequence and the error case it ran into (B, Ca or Cb), or None when it
-    decoded.  The label is A if some source pair is atypical, else that
-    case, else none or D by the output test.
+    Trials run in chunks of at most _CHUNK_POSITIONS drawn symbols.  A
+    chunk has one draw, one typicality table stack for its source pairs and
+    one for its (action, output) pairs; encoding stays one call per (trial,
+    agent).  `decode(trials, results)` is the scheme's decoding step over a
+    chunk: it returns the emitted sequences, one row per trial, and per
+    trial the error case it ran into (B, Ca or Cb), or None when it
+    decoded.  A trial's label is A if some source pair is atypical, else
+    that case, else none or D by the output test.
     """
-    draw = draw_actions(source_cfg, seed, trial_index)
-    eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
-    pairs_ok = all(is_strongly_typical(draw.x_seq, xhat, cfg.pair_src_obs, eps_prime)
-                   for xhat in draw.xhat_seqs)
-    results = [encode(draw.xhat_seqs[l], cfg, spec, budget)
-               for l, spec in enumerate(specs)]
-    y, failure = decode(results)
-
-    # one (action, output) count table serves the output test and the TV
     pair = cfg.pair_src_out
     target = report_target if report_target is not None else pair
     if target.shape != pair.shape:
         raise ValueError("report_target shape must match the design pair")
-    counts = joint_type(draw.x_seq, y, *pair.shape)
-    if not pairs_ok:
-        case = ErrorCase.A
-    elif failure is not None:
-        case = failure
-    elif counts_typical(counts, pair, source_cfg.n, cfg.epsilon):
-        case = ErrorCase.NONE
-    else:
-        case = ErrorCase.D
-    return TrialOutcome(y_seq=y, error_case=case,
-                        tv_realized=tv_distance(counts / source_cfg.n, target),
-                        budget_hit=any(r.budget_hit for r in results),
-                        search_cost=sum(r.search_cost for r in results))
+    n = source_cfg.n
+    eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
+    size = max(1, _CHUNK_POSITIONS // ((source_cfg.L + 1) * n))
+    stop = trial_index + count
+    outcomes = []
+    for lo in range(trial_index, stop, size):
+        trials = range(lo, min(lo + size, stop))
+        draw = draw_actions(source_cfg, seed, np.array(trials))
+        pairs_ok = np.all(is_strongly_typical(draw.x_seq[:, None], draw.xhat_seqs,
+                                              cfg.pair_src_obs, eps_prime), axis=1)
+        results = [[encode(xhat, cfg, spec, budget) for xhat, spec in zip(xhats, specs)]
+                   for xhats in draw.xhat_seqs]
+        ys, failures = decode(trials, results)
+
+        # one (action, output) count table per trial serves the output test
+        # and the TV
+        counts = joint_type(draw.x_seq, ys, *pair.shape)
+        output_ok = counts_typical(counts, pair, n, cfg.epsilon)
+        tvs = tv_distance(counts / n, target).tolist()
+        for t, trial in enumerate(results):
+            if not pairs_ok[t]:
+                case = ErrorCase.A
+            elif failures[t] is not None:
+                case = failures[t]
+            else:
+                case = ErrorCase.NONE if output_ok[t] else ErrorCase.D
+            outcomes.append(TrialOutcome(y_seq=ys[t], error_case=case, tv_realized=tvs[t],
+                                         budget_hit=any(r.budget_hit for r in trial),
+                                         search_cost=sum(r.search_cost for r in trial)))
+    return outcomes
 
 
 def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
-                     seed: int, trial_index: int, budget: int | None = None,
-                     report_target: JointPmf | None = None) -> TrialOutcome:
-    """One direct-scheme trial: one agent that found a codeword is enough,
-    and B means none did.
+                     seed: int, trial_index: int, count: int = 1, budget: int | None = None,
+                     report_target: JointPmf | None = None) -> list[TrialOutcome]:
+    """Direct-scheme trials trial_index .. trial_index + count - 1: one agent
+    that found a codeword is enough, and B means none did.
 
     tv_realized compares the (action, output) joint type against
     report_target (the coordination target), which defaults to the scheme's
     own design pair.
     """
-    def decode(results):
-        failure = None if any(r.found for r in results) else ErrorCase.B
-        return decode_direct(results, specs), failure
+    def decode(trials, results):
+        failures = [None if any(r.found for r in trial) else ErrorCase.B for trial in results]
+        return decode_direct(results, specs), failures
 
-    return _run_trial(encode_direct, decode, source_cfg, cfg, specs, seed, trial_index,
-                      budget, report_target)
+    return _run_trials(encode_direct, decode, source_cfg, cfg, specs, seed, trial_index,
+                       count, budget, report_target)
 
 
 def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
-                     seed: int, trial_index: int, budget: int | None = None,
-                     report_target: JointPmf | None = None) -> TrialOutcome:
-    """One binned-scheme trial: B when any encoder failed, else joint
-    decoding, with Ca for no matching word tuple and Cb for several."""
-    def decode(results):
-        if not all(r.found for r in results):
-            return specs[0]._word(0), ErrorCase.B
-        out = decode_binned([r.w for r in results], cfg, specs)
-        if out.matches_found == 1:
-            return out.y_seq, None
-        return out.y_seq, ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB
+                     seed: int, trial_index: int, count: int = 1, budget: int | None = None,
+                     report_target: JointPmf | None = None) -> list[TrialOutcome]:
+    """Binned-scheme trials trial_index .. trial_index + count - 1: B when
+    any encoder failed, else joint decoding, with Ca for no matching word
+    tuple and Cb for several.
 
-    return _run_trial(encode_binned, decode, source_cfg, cfg, specs, seed, trial_index,
-                      budget, report_target)
+    A decode past the decoder's work bound raises DecoderBudgetExceeded
+    with trial_index set to its trial; the trials before it have decoded.
+    """
+    def decode(trials, results):
+        ys = np.empty((len(results), source_cfg.n), dtype=np.int64)
+        failed = [not all(r.found for r in trial) for trial in results]
+        ys[failed] = specs[0]._words(np.zeros(sum(failed), dtype=np.int64))
+        failures = []
+        for t, trial in enumerate(results):
+            if failed[t]:
+                failures.append(ErrorCase.B)
+                continue
+            try:
+                out = decode_binned([r.w for r in trial], cfg, specs)
+            except DecoderBudgetExceeded as exc:
+                exc.trial_index = trials[t]
+                raise
+            ys[t] = out.y_seq
+            failures.append(None if out.matches_found == 1
+                            else ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB)
+        return ys, failures
+
+    return _run_trials(encode_binned, decode, source_cfg, cfg, specs, seed, trial_index,
+                       count, budget, report_target)

@@ -105,17 +105,35 @@ def _cell_specs(cfg: ExperimentConfig) -> tuple:
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
     specs = _cell_specs(cfg)
     run = run_direct_trial if isinstance(cfg.scheme, DirectSchemeConfig) else run_binned_trial
-    rows = []
-    for t in range(lo, hi):
-        try:
-            outcome = run(cfg.source, cfg.scheme, specs, cfg.seed, t,
-                          budget=cfg.search_budget, report_target=cfg.target)
-        except DecoderBudgetExceeded as exc:
-            raise ExperimentAborted(f"trial {t} of {cfg.trials}: {exc}; shrink n, L, "
-                                    f"or the codebook") from exc
-        rows.append((outcome.tv_realized, outcome.error_case.value,
-                     outcome.budget_hit, outcome.search_cost))
-    return rows
+    try:
+        outcomes = run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
+                       budget=cfg.search_budget, report_target=cfg.target)
+    except DecoderBudgetExceeded as exc:
+        raise ExperimentAborted(f"trial {exc.trial_index} of {cfg.trials}: {exc}; shrink n, "
+                                f"L, or the codebook") from exc
+    return [(outcome.tv_realized, outcome.error_case.value,
+             outcome.budget_hit, outcome.search_cost) for outcome in outcomes]
+
+
+def _quantiles(values: np.ndarray, qs) -> list[float]:
+    """np.quantile(values, qs) for 1-d float values, computed the way numpy's
+    'linear' method computes it (virtual index and interpolation alike, so
+    the results are bit-equal) from one sort: np.quantile itself imports
+    numpy.ma on its first call."""
+    ordered = np.sort(values).tolist()
+    n = len(ordered)
+    out = []
+    for q in qs:
+        virtual = (n - 1) * q
+        if virtual >= n - 1:
+            out.append(ordered[-1])
+            continue
+        below = math.floor(virtual)
+        gamma = virtual - below
+        a, b = ordered[below], ordered[below + 1]
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
@@ -147,11 +165,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
     counts = {label: 0 for label in CASE_LABELS}
     for row in rows:
         counts[row[1]] += 1
-    quantiles = np.quantile(tvs, [0.5, 0.9, 0.99])
+    quantiles = _quantiles(tvs, (0.5, 0.9, 0.99))
     stderr = float(tvs.std(ddof=1) / math.sqrt(tvs.size)) if tvs.size > 1 else 0.0
     return ExperimentStats(
         mean_tv=float(tvs.mean()),
-        q50=float(quantiles[0]), q90=float(quantiles[1]), q99=float(quantiles[2]),
+        q50=quantiles[0], q90=quantiles[1], q99=quantiles[2],
         error_case_counts=counts,
         trials=len(rows),
         wall_time=time.perf_counter() - start,

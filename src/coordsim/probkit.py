@@ -138,8 +138,8 @@ def as_probs(p: ProbsLike) -> np.ndarray:
 
 def _check_sequence(seq: np.ndarray, size: int, name: str) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1-d symbol sequence")
+    if arr.ndim < 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty symbol sequence")
     if arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"{name} contains symbols outside 0..{size - 1}")
     return arr
@@ -148,25 +148,40 @@ def _check_sequence(seq: np.ndarray, size: int, name: str) -> np.ndarray:
 def joint_type(x_seq, y_seq, sx: int, sy: int) -> np.ndarray:
     """Empirical joint type of (x_seq, y_seq) over the alphabets 0..sx-1 and
     0..sy-1, as its int64 (sx, sy) count table: cell (a, b) holds
-    #{i : (x_i, y_i) = (a, b)}; the type itself is the table over n."""
+    #{i : (x_i, y_i) = (a, b)}; the type itself is the table over n.
+
+    The sequences may carry leading axes, which broadcast against each
+    other; the result then holds one table per pair, shape (..., sx, sy),
+    all counted by one bincount.
+    """
     x = _check_sequence(x_seq, sx, "x_seq")
     y = _check_sequence(y_seq, sy, "y_seq")
-    if x.size != y.size:
-        raise ValueError(f"sequence lengths differ: {x.size} vs {y.size}")
-    return np.bincount(x * sy + y, minlength=sx * sy).reshape(sx, sy)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"sequence lengths differ: {x.shape[-1]} vs {y.shape[-1]}")
+    cell = x * sy + y
+    rows = cell.reshape(-1, cell.shape[-1])
+    cells = sx * sy
+    flat = np.arange(0, rows.shape[0] * cells, cells)[:, None] + rows
+    return np.bincount(flat.reshape(-1), minlength=rows.shape[0] * cells) \
+        .reshape(*cell.shape[:-1], sx, sy)
 
 
-def tv_distance(p: ProbsLike, q: ProbsLike) -> float:
+def tv_distance(p: ProbsLike, q: ProbsLike) -> float | np.ndarray:
     """Total variation: half the L1 distance between two PMFs.
 
     Summed with math.fsum, so the result is the correctly rounded value of
-    the term sum regardless of cell count or memory layout.
+    the term sum regardless of cell count or memory layout.  p may carry
+    leading axes over q's shape; the result is then an array over them,
+    each entry summed alone exactly as a single p would be.
     """
     a = as_probs(p)
     b = as_probs(q)
-    if a.shape != b.shape:
+    if a.shape[a.ndim - b.ndim:] != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * math.fsum(np.abs((a - b).reshape(-1)))
+    terms = np.abs((a - b).reshape(-1, b.size)).tolist()
+    if a.ndim == b.ndim:
+        return 0.5 * math.fsum(terms[0])
+    return np.array([0.5 * math.fsum(row) for row in terms]).reshape(a.shape[:a.ndim - b.ndim])
 
 
 def entropy(p: ProbsLike) -> float:

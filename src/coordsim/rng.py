@@ -88,14 +88,6 @@ def derive_key(seed: int, *path: int) -> np.uint64:
     return np.uint64(_chain(int(seed) & _MASK, path))
 
 
-def derive_keys(seed: int, *path: int, count: int) -> np.ndarray:
-    """The keys derive_key(seed, *path, s) for s = 0..count-1, as one
-    uint64 array."""
-    h = _chain(int(seed) & _MASK, path)
-    return np.array([_mix64_int(h ^ ((s * _PHI_INT) & _MASK)) for s in range(count)],
-                    dtype=np.uint64)
-
-
 def uniforms(key: np.uint64, indices: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) doubles at the given counter indices under `key`."""
     h = fold(key, np.asarray(indices, dtype=np.uint64))

@@ -56,26 +56,34 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class ActionDraw:
-    """One realization: the action sequence and the L observed sequences."""
+    """Realizations: the action sequence and the L observed sequences, with
+    the leading axes of the trial indices they were drawn for."""
 
-    x_seq: np.ndarray
-    xhat_seqs: np.ndarray  # shape (L, n)
+    x_seq: np.ndarray      # shape (..., n)
+    xhat_seqs: np.ndarray  # shape (..., L, n)
 
     def __post_init__(self):
         self.x_seq.setflags(write=False)
         self.xhat_seqs.setflags(write=False)
 
 
-def draw_actions(cfg: SourceConfig, seed: int, trial_index: int) -> ActionDraw:
-    """Generate one trial's action and observations, replayably.
+def draw_actions(cfg: SourceConfig, seed: int, trial_index) -> ActionDraw:
+    """Generate the action and observations of one trial, or of an array of
+    trials at once, replayably.
 
-    The output is a pure function of (cfg, seed, trial_index); no generator
-    state is consumed.
+    The output is a pure function of (cfg, seed, trial_index), and a trial's
+    draw is the same alone or in any array: its stream keys fold the trial
+    index and then the stream into the key of (seed, SOURCE_STREAM), exactly
+    the chain rng.derive_key(seed, SOURCE_STREAM, trial, stream).
     """
-    keys = rng.derive_keys(seed, SOURCE_STREAM, trial_index, count=cfg.L + 1)
-    u = rng.uniforms(keys[:, None], np.arange(cfg.n, dtype=np.uint64))
+    trials = np.asarray(trial_index)
+    if np.any(trials < 0):
+        raise ValueError("trial indices must be >= 0")
+    per_trial = rng.fold(rng.derive_key(seed, SOURCE_STREAM), trials.astype(np.uint64))
+    keys = rng.fold(per_trial[..., None], np.arange(cfg.L + 1, dtype=np.uint64))
+    u = rng.uniforms(keys[..., None], np.arange(cfg.n, dtype=np.uint64))
 
     # every observation stream reads the cdf rows of the same actions
-    x = rng.categorical(u[0], cfg._action_cdf)
-    xhat = rng.categorical(u[1:], cfg._obs_cdf[x])
+    x = rng.categorical(u[..., 0, :], cfg._action_cdf)
+    xhat = rng.categorical(u[..., 1:, :], cfg._obs_cdf[x][..., None, :, :])
     return ActionDraw(x_seq=x, xhat_seqs=xhat)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .probkit import ProbsLike, ZERO_TOL, as_probs, entropy
+from .probkit import ProbsLike, ZERO_TOL, as_probs, entropy, joint_type
 
 _EXP_OVERFLOW = 700.0
 
@@ -102,24 +102,30 @@ def count_bounds(j: ProbsLike, n: int, epsilon: float) -> tuple[np.ndarray, np.n
     return _count_bounds_cached(probs.tobytes(), probs.shape, n, epsilon)
 
 
-def counts_typical(counts: np.ndarray, j: ProbsLike, n: int, epsilon: float) -> bool:
-    """Typicality decision on precomputed integer cell counts."""
+def counts_typical(counts: np.ndarray, j: ProbsLike, n: int, epsilon: float) -> bool | np.ndarray:
+    """Typicality decision on precomputed integer cell counts: a bool for one
+    table of j's shape, or an array of bools over the leading axes of a
+    stack of them."""
     lo, hi = count_bounds(j, n, epsilon)
-    return bool(np.all((counts >= lo) & (counts <= hi)))
+    inside = (counts >= lo) & (counts <= hi)
+    if inside.ndim == lo.ndim:
+        return bool(np.all(inside))
+    return np.logical_and.reduce(inside.reshape(*inside.shape[:inside.ndim - lo.ndim], -1),
+                                 axis=-1)
 
 
-def is_strongly_typical(x_seq, y_seq, j: ProbsLike, epsilon: float) -> bool:
-    """Joint typicality of a sequence pair for the 2-d law j."""
+def is_strongly_typical(x_seq, y_seq, j: ProbsLike, epsilon: float) -> bool | np.ndarray:
+    """Joint typicality of a sequence pair for the 2-d law j.
+
+    The sequences may carry leading axes, which broadcast against each
+    other; the result is then an array of bools over them, one per pair,
+    from one joint_type table stack.
+    """
     probs = as_probs(j)
     if probs.ndim != 2:
         raise ValueError("is_strongly_typical requires a 2-d joint law")
-    sx, sy = probs.shape
-    x = np.asarray(x_seq, dtype=np.int64)
-    y = np.asarray(y_seq, dtype=np.int64)
-    if x.shape != y.shape:
-        raise ValueError("sequences must have equal length")
-    counts = np.bincount(x * sy + y, minlength=sx * sy).reshape(sx, sy)
-    return counts_typical(counts, probs, x.size, epsilon)
+    counts = joint_type(x_seq, y_seq, *probs.shape)
+    return counts_typical(counts, probs, np.shape(x_seq)[-1], epsilon)
 
 
 def typical_set_size_bound(j: ProbsLike, n: int, epsilon: float) -> float:

@@ -481,7 +481,7 @@ def ac6_binned_decoder_oracle() -> CheckResult:
                                       L=num_agents, n=n)
             for trial in range(trials_each):
                 specs = binned_specs(cfg, source_cfg, seed + trial)
-                outcome = run_binned_trial(source_cfg, cfg, specs, seed, trial)
+                [outcome] = run_binned_trial(source_cfg, cfg, specs, seed, trial)
                 label, y_oracle = _oracle_binned_trial(source_cfg, cfg, specs,
                                                        seed, trial)
                 label_counts[label] = label_counts.get(label, 0) + 1

@@ -71,9 +71,7 @@ class TestSchemes:
             scheme = DirectSchemeConfig(rates=(0.3, 0.3), slacks=(0.1, 0.1),
                                         epsilon=epsilon, triple=triple)
             specs = direct_specs(scheme, src, 17)
-            for trial in range(25):
-                outcome = run_direct_trial(src, scheme, specs, 17, trial,
-                                           budget=5000)
+            for outcome in run_direct_trial(src, scheme, specs, 17, 0, 25, budget=5000):
                 assert outcome.y_seq.shape == (30,)
                 assert set(np.unique(outcome.y_seq)) <= {0, 1}
                 cases.add(outcome.error_case)
@@ -89,8 +87,7 @@ class TestSchemes:
         specs = binned_specs(cfg, src, 23)
         result = decode_binned([0, 1], cfg, specs)
         assert result.matches_found >= 0
-        for trial in range(20):
-            outcome = run_binned_trial(src, cfg, specs, 23, trial)
+        for outcome in run_binned_trial(src, cfg, specs, 23, 0, 20):
             assert 0.0 <= outcome.tv_realized <= 1.0
 
     def test_experiment_aggregates(self):

@@ -422,13 +422,14 @@ def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
 
 
 def test_pinned_channel_run_loads_neither_the_solver_nor_a_process_pool(tmp_path):
-    # scipy.optimize serves only the region solver, and a one-worker run
-    # starts no process pool
+    # scipy.optimize serves only the region solver, a one-worker run starts
+    # no process pool, and the TV quantiles are taken without np.quantile,
+    # whose np.unique imports numpy.ma
     document = base_spec()
     del document["region"]
     spec_path = write_spec(tmp_path, document)
     script = pinned_run_script(spec_path, str(tmp_path / "out.csv"),
-                               {"scipy.optimize", "concurrent.futures.process"})
+                               {"scipy.optimize", "concurrent.futures.process", "numpy.ma"})
     assert fresh_python(script) == "[]\n"
 
 

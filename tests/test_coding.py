@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Context, Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ class TestDecodeDirect:
         results = [EncodeResult(w=None, v=None, found=False, search_cost=1),
                    EncodeResult(w=2, v=0, found=True, search_cost=3),
                    EncodeResult(w=1, v=0, found=True, search_cost=2)]
-        assert np.array_equal(decode_direct(results, specs), codeword_block(specs[1], [2])[0])
+        assert np.array_equal(decode_direct([results], specs), codeword_block(specs[1], [2]))
 
     def test_fallback_on_total_failure(self):
         cfg = direct_scheme(agents=2, rate=0.3, epsilon=0.5)
@@ -378,7 +379,7 @@ class TestDecodeDirect:
                            L=2, n=10)
         specs = direct_specs(cfg, src, 21)
         results = [EncodeResult(w=None, v=None, found=False, search_cost=8)] * 2
-        assert np.array_equal(decode_direct(results, specs), codeword_block(specs[0], [0])[0])
+        assert np.array_equal(decode_direct([results], specs), codeword_block(specs[0], [0]))
 
 
 class TestEncodeBinned:
@@ -603,14 +604,17 @@ def _check_label_table(monkeypatch, scheme):
         def decode(bins, cfg, specs, matches=matches, decoded=decoded):
             decoded.append(bins)
             return BinnedDecodeResult(matches_found=matches, v_tuple=None,
-                                      y_seq=specs[0]._word(0))
+                                      y_seq=codeword_block(specs[0], [0])[0])
 
         monkeypatch.setattr(coding, f"encode_{scheme}", encode)
         monkeypatch.setattr(coding, "decode_binned", decode)
-        monkeypatch.setattr(coding, "is_strongly_typical", lambda *args, ok=pairs_ok: ok)
-        monkeypatch.setattr(coding, "counts_typical", lambda *args, ok=output_ok: ok)
+        # the pair and output tests answer for every pair of the block
+        monkeypatch.setattr(coding, "is_strongly_typical", lambda x, y, *args, ok=pairs_ok:
+                            np.full(np.broadcast_shapes(x.shape, y.shape)[:-1], ok))
+        monkeypatch.setattr(coding, "counts_typical", lambda counts, *args, ok=output_ok:
+                            np.full(counts.shape[:-2], ok))
         row = (pairs_ok, found, matches, output_ok)
-        outcome = run(src, cfg, specs, 3, 0)
+        [outcome] = run(src, cfg, specs, 3, 0)
         assert outcome.error_case is label, row
         assert outcome.search_cost == sum(2 if f else 4 for f in found), row
         # the joint decoder runs exactly when every binned encoder succeeded
@@ -631,8 +635,7 @@ class TestClassifier:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=6)
         specs = binned_specs(cfg, src, 8)
-        labels = [run_binned_trial(src, cfg, specs, 8, t).error_case
-                  for t in range(60)]
+        labels = [outcome.error_case for outcome in run_binned_trial(src, cfg, specs, 8, 0, 60)]
         assert all(isinstance(lab, ErrorCase) for lab in labels)
 
 
@@ -662,8 +665,7 @@ class TestTrials:
                            L=1, n=160)
         specs = direct_specs(cfg, src, 101)
         successes = 0
-        for trial in range(100):
-            outcome = run_direct_trial(src, cfg, specs, 101, trial, budget=50_000)
+        for outcome in run_direct_trial(src, cfg, specs, 101, 0, 100, budget=50_000):
             if outcome.error_case is ErrorCase.NONE:
                 successes += 1
                 assert outcome.tv_realized <= cfg.epsilon / 2
@@ -674,8 +676,8 @@ class TestTrials:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=24)
         specs = direct_specs(cfg, src, 55)
-        a = run_direct_trial(src, cfg, specs, 55, 4)
-        b = run_direct_trial(src, cfg, specs, 55, 4)
+        [a] = run_direct_trial(src, cfg, specs, 55, 4)
+        [b] = run_direct_trial(src, cfg, specs, 55, 4)
         assert a.tv_realized == b.tv_realized
         assert a.error_case == b.error_case
         assert np.array_equal(a.y_seq, b.y_seq)
@@ -687,8 +689,8 @@ class TestTrials:
         specs = direct_specs(cfg, src, 55)
         other = compose_markov(Pmf.uniform(2), CondPmf.binary_flip(0.2),
                                CondPmf.binary_flip(0.45)).pair_marginal(0, 2)
-        a = run_direct_trial(src, cfg, specs, 55, 4)
-        b = run_direct_trial(src, cfg, specs, 55, 4, report_target=other)
+        [a] = run_direct_trial(src, cfg, specs, 55, 4)
+        [b] = run_direct_trial(src, cfg, specs, 55, 4, report_target=other)
         assert a.error_case == b.error_case
         assert np.array_equal(a.y_seq, b.y_seq)
         assert a.tv_realized != b.tv_realized
@@ -716,13 +718,50 @@ class TestTrials:
             return block(spec, flat)
 
         monkeypatch.setattr(coding, "codeword_block", counting)
-        outcome = run_binned_trial(src, cfg, specs, 8, 0)
+        [outcome] = run_binned_trial(src, cfg, specs, 8, 0)
         assert outcome.error_case in (ErrorCase.A, ErrorCase.B)
         # one single-word book per agent, read by its scan and then by the
         # fallback from the store
         assert generated == [1, 1]
         assert outcome.y_seq.dtype == np.int64
         assert np.array_equal(outcome.y_seq, codeword_block(specs[0], [0])[0])
+
+
+class TestTrialBlocks:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(scheme=st.sampled_from(("direct", "binned")), seed=st.integers(0, 2**32),
+           cuts=st.sets(st.integers(1, 23), max_size=4), per_chunk=st.integers(1, 4))
+    def test_blocks_equal_the_trials_run_alone(self, scheme, seed, cuts, per_chunk):
+        # a block's trials equal the same trials run as blocks of one, field
+        # by field, however the trials are cut into blocks; chunks of at most
+        # 4 trials make every cut leave a block that crosses a chunk boundary
+        # both configurations give budget stops and more than one label
+        trials = 24
+        if scheme == "direct":
+            src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                               L=2, n=24)
+            cfg, build, run, budget = direct_scheme(agents=2, rate=0.2, epsilon=1.0), \
+                direct_specs, run_direct_trial, 2
+        else:
+            src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.05),
+                               L=2, n=6)
+            cfg = dataclasses.replace(binned_scheme(bins=2.3, epsilon=0.6),
+                                      triple=compose_markov(src.p0, src.obs_channel,
+                                                            CondPmf.binary_flip(0.3)))
+            build, run, budget = binned_specs, run_binned_trial, 3
+        alone = [outcome for t in range(trials)
+                 for outcome in run(src, cfg, build(cfg, src, seed), seed, t, budget=budget)]
+        bounds = [0, *sorted(cuts), trials]
+        assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) > per_chunk
+        specs = build(cfg, src, seed)
+        with mock.patch.object(coding, "_CHUNK_POSITIONS", per_chunk * (src.L + 1) * src.n):
+            blocks = [outcome for lo, hi in zip(bounds, bounds[1:])
+                      for outcome in run(src, cfg, specs, seed, lo, hi - lo, budget=budget)]
+        assert len(blocks) == trials
+        for a, b in zip(alone, blocks):
+            assert np.array_equal(a.y_seq, b.y_seq)
+            assert (a.error_case, a.tv_realized, a.budget_hit, a.search_cost) == \
+                (b.error_case, b.tv_realized, b.budget_hit, b.search_cost)
 
 
 class TestCaseAFrequency:
@@ -746,8 +785,8 @@ class TestCaseAFrequency:
         bound = num_agents * dt
         specs = direct_specs(cfg, src, 314)
         trials = 300
-        case_a = sum(run_direct_trial(src, cfg, specs, 314, t).error_case
-                     is ErrorCase.A for t in range(trials))
+        case_a = sum(outcome.error_case is ErrorCase.A
+                     for outcome in run_direct_trial(src, cfg, specs, 314, 0, trials))
         slack = 3.0 * math.sqrt(max(bound * (1 - min(bound, 1.0)), 1e-12) / trials)
         assert case_a / trials <= bound + slack
 

@@ -143,23 +143,25 @@ class TestRunExperiment:
         specs = direct_specs(cfg.scheme, cfg.source, cfg.seed)
         generated = count_generated(monkeypatch)
         failed = EncodeResult(w=None, v=None, found=False, search_cost=900)
-        for t in range(40):
-            draw = draw_actions(cfg.source, cfg.seed, t)
-            results = [coding.encode_direct(draw.xhat_seqs[l], cfg.scheme, spec, 900)
-                       for l, spec in enumerate(specs)]
-            for picked in (results, [failed, failed]):
-                before = sum(generated)
-                y = decode_direct(picked, specs)
-                assert sum(generated) == before
-                spec, w = next(((s, r.w) for s, r in zip(specs, picked) if r.found),
+        draw = draw_actions(cfg.source, cfg.seed, np.arange(40))
+        results = [[coding.encode_direct(xhats[l], cfg.scheme, spec, 900)
+                    for l, spec in enumerate(specs)] for xhats in draw.xhat_seqs]
+        # the block as scanned, and the same block with every encoder failed
+        for block in (results, [[failed, failed]] * 40):
+            before = sum(generated)
+            ys = decode_direct(block, specs)
+            assert sum(generated) == before
+            assert ys.dtype == np.int64 and ys.shape == (40, cfg.source.n)
+            for y, trial in zip(ys, block):
+                spec, w = next(((s, r.w) for s, r in zip(specs, trial) if r.found),
                                (specs[0], 0))
-                assert y.dtype == np.int64 and np.array_equal(y, codeword_block(spec, [w])[0])
+                assert np.array_equal(y, codeword_block(spec, [w])[0])
         # a word the store does not hold is generated alone
         fresh = direct_specs(cfg.scheme, cfg.source, cfg.seed)
         generated.clear()
-        y = decode_direct([failed, EncodeResult(w=77, v=0, found=True, search_cost=78)], fresh)
+        y = decode_direct([[failed, EncodeResult(w=77, v=0, found=True, search_cost=78)]], fresh)
         assert generated == [1] and y.dtype == np.int64
-        assert np.array_equal(y, codeword_block(fresh[1], [77])[0])
+        assert np.array_equal(y, codeword_block(fresh[1], [77]))
 
     def test_binned_scheme_runs(self):
         stats = run_experiment(binned_config())
@@ -216,6 +218,18 @@ class TestRunExperiment:
 
 
 class TestStats:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(st.sampled_from((0.0, 0.05, 0.1, 1 / 3, 0.5, 1.0)),
+                                     st.floats(0.0, 1.0)), min_size=1, max_size=80),
+           extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_quantiles_are_bit_equal_to_numpy(self, values, extra):
+        # ties are common: most values come from a six-value pool
+        qs = (0.5, 0.9, 0.99, *extra)
+        tvs = np.array(values)
+        want = np.quantile(tvs, qs)
+        got = np.array(harness._quantiles(tvs, qs))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
             ExperimentStats(mean_tv=0.1, q50=0.1, q90=0.1, q99=0.1,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordsim import rng
 from coordsim.probkit import CondPmf, Pmf, joint_type, tv_distance
@@ -87,6 +89,26 @@ class TestDrawActions:
         assert draw.x_seq.dtype == draw.xhat_seqs.dtype == np.int64
         assert np.array_equal(draw.x_seq, x)
         assert np.array_equal(draw.xhat_seqs, np.array(xhat))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), L=st.integers(1, 4), n=st.integers(1, 20),
+           size=st.integers(2, 3), data=st.data())
+    def test_array_of_trials_equals_per_trial_draws(self, seed, L, n, size, data):
+        # the counter keys make a trial's draw independent of the batch it
+        # is drawn in
+        law = st.lists(st.integers(1, 5), min_size=size, max_size=size)
+        p0 = np.array(data.draw(law), dtype=float)
+        rows = np.array([data.draw(law) for _ in range(size)], dtype=float)
+        cfg = SourceConfig(p0=Pmf(p0 / p0.sum()),
+                           obs_channel=CondPmf(rows / rows.sum(axis=1, keepdims=True)), L=L, n=n)
+        trials = data.draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6))
+        block = draw_actions(cfg, seed, np.array(trials))
+        assert block.x_seq.shape == (len(trials), n)
+        assert block.xhat_seqs.shape == (len(trials), L, n)
+        for row, trial in enumerate(trials):
+            alone = draw_actions(cfg, seed, trial)
+            assert np.array_equal(block.x_seq[row], alone.x_seq)
+            assert np.array_equal(block.xhat_seqs[row], alone.xhat_seqs)
 
     def test_empirical_law_matches_p0(self):
         # law of large numbers at 1e5 symbols

@@ -74,3 +74,32 @@ def test_traced_simulate_records_every_coding_layer(tracing, tmp_path):
                 layers.DECODE, layers.BLOCK, layers.FOLD, layers.DRAW,
                 layers.TEST, layers.BOUNDS, *layers.PROBKIT}
     assert expected <= names, sorted(expected - names)
+
+
+def test_traced_spans_round_trip_through_json(tracing, tmp_path):
+    # run.py --trace 1 writes the spans and computes the layer metrics from
+    # what it reads back, so every span id, count and key must survive JSON
+    layers, Tracer = tracing
+    from tracer import FIELDS, read_spans
+
+    from coordsim import cli
+
+    direct = _spec(tmp_path, {"kind": "direct", "rates": [0.3],
+                              "epsilons": {"typicality": 0.5, "slacks": [0.05]}}, 20)
+    binned = _spec(tmp_path, {"kind": "binned", "rates": [0.2, 0.2],
+                              "epsilons": {"typicality": 0.8}}, 6)
+    tracer = Tracer()
+    with tracer:
+        layers.install(tracer, [])
+        for path in (direct, binned):
+            assert cli.cmd_simulate(path, str(tmp_path / "out.csv")) == 0
+    tracer.write(tmp_path / "spans.jsonl")
+    spans = read_spans(tmp_path / "spans.jsonl")
+    assert spans == [dict(zip(FIELDS, span.as_list())) for span in tracer.spans]
+    run_s = spans[-1]["end"] - spans[0]["start"]
+    values = layers.layer_metrics(spans, 0.0)
+    shares = layers.dominant_share(spans, run_s)
+    # one cell per spec, each run as one block of 4 trials by 2 agents
+    assert values["coding.trials"] == 2 and values["coding.encode_calls"] == 16
+    assert values["coding.codewords_generated"] > 0
+    assert all(0.0 <= share <= 1.0 for share in shares.values())
