@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 # The region solver is the only user of scipy.optimize, whose import costs
 # more than most simulate runs; its names load on first use (PEP 562).
 _REGION_NAMES = frozenset((
-    "RegionQuery", "RegionPoint", "CurvePoint", "finite_agent_rate",
-    "per_agent_rate", "min_achievable_delta", "min_per_agent_rate",
-    "min_finite_agent_rate", "rate_delta_curve"))
+    "RegionQuery", "RegionPoint", "CurvePoint", "min_achievable_delta",
+    "min_per_agent_rate", "min_finite_agent_rate", "rate_delta_curve"))
 
 
 def __getattr__(name: str):
@@ -57,7 +56,6 @@ __all__ = [
     "encode_binned", "decode_binned",
     "run_direct_trial", "run_binned_trial",
     "RegionQuery", "RegionPoint", "CurvePoint",
-    "finite_agent_rate", "per_agent_rate",
     "min_achievable_delta", "min_per_agent_rate", "min_finite_agent_rate",
     "rate_delta_curve",
     "ExperimentConfig", "ExperimentStats", "ExperimentAborted",

@@ -2,7 +2,7 @@
 
     coordsim simulate --spec spec.json --out results.csv [--workers N]
     coordsim region   --spec spec.json --out region.csv
-    coordsim verify   [--spec spec.json] [--only AC1,AC7]
+    coordsim verify   [--only AC1,AC7]
 
 Exit codes: 0 success, 1 failed verification, 2 spec/validation error,
 3 decoder-limit abort.  An --out path whose directory does not exist, or a
@@ -176,16 +176,9 @@ def _both_units(rate_nats: float) -> str:
     return f"{rate_nats:.6f} nats ({rate_nats / math.log(2.0):.6f} bits)"
 
 
-def cmd_verify(spec_path: str | None = None, only: list[str] | None = None) -> int:
+def cmd_verify(only: list[str] | None = None) -> int:
     """Run the bundled acceptance checks and print one line per criterion."""
     from . import verify
-
-    if spec_path is not None:
-        try:
-            load_runspec(spec_path)
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SPEC
 
     if only:
         unknown = sorted({name.strip().upper() for name in only}
@@ -240,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     reg.add_argument("--out", required=True)
 
     ver = sub.add_parser("verify", help="run the bundled acceptance checks")
-    ver.add_argument("--spec", default=None)
     ver.add_argument("--only", default=None,
                      help="comma-separated criterion ids, e.g. AC1,AC4")
 
@@ -251,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "region":
         return cmd_region(args.spec, args.out)
     only = args.only.split(",") if args.only else None
-    return cmd_verify(args.spec, only=only)
+    return cmd_verify(only=only)
 
 
 if __name__ == "__main__":

@@ -235,9 +235,7 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
     words = (flat % spec.words_per_bin).astype(np.uint64)
     key = _codebook_key(spec)
     h = rng.fold(rng.fold(key, bins), words)
-    positions = np.arange(spec.n, dtype=np.uint64)
-    state = rng.fold(h[:, None], positions[None, :])
-    u = (state >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    u = rng.uniforms(h[:, None], np.arange(spec.n, dtype=np.uint64))
     return rng.categorical(u, rng.right_closed_cdf(spec.p_y.probs))
 
 

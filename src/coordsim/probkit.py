@@ -191,33 +191,49 @@ def entropy(p: ProbsLike) -> float:
     return float(-np.sum(support * np.log(support)))
 
 
-def mutual_information(j: JointPmf | np.ndarray) -> float:
-    """I(X;Y) in nats for a 2-d joint law."""
+def _information(probs: np.ndarray, num: np.ndarray, den: np.ndarray,
+                 ndim: int) -> float | np.ndarray:
+    """Sum of p ln(num / den) over each table's last `ndim` axes, skipping
+    cells with p <= ZERO_TOL, floored at 0; a float for one table, an array
+    over the leading axes for a stack."""
+    mask = probs > ZERO_TOL
+    terms = np.zeros_like(probs)
+    np.divide(num, den, out=terms, where=mask)
+    np.log(terms, out=terms, where=mask)
+    terms *= probs
+    lead = probs.shape[:probs.ndim - ndim]
+    total = np.maximum(terms.reshape(*lead, -1).sum(axis=-1), 0.0)
+    return float(total) if not lead else total
+
+
+def mutual_information(j: JointPmf | np.ndarray) -> float | np.ndarray:
+    """I(X;Y) in nats for a 2-d joint law.
+
+    j may carry leading axes; the result is then an array over them, each
+    entry equal to what its table alone gives.
+    """
     probs = as_probs(j)
-    if probs.ndim != 2:
+    if probs.ndim < 2:
         raise ValueError("mutual_information requires a 2-d joint")
-    px = probs.sum(axis=1)
-    py = probs.sum(axis=0)
-    prod = np.outer(px, py)
-    mask = probs > ZERO_TOL
-    total = float(np.sum(probs[mask] * np.log(probs[mask] / prod[mask])))
-    return max(total, 0.0)
+    px = probs.sum(axis=-1)
+    py = probs.sum(axis=-2)
+    return _information(probs, probs, px[..., :, None] * py[..., None, :], 2)
 
 
-def conditional_mutual_information(t: JointPmf | np.ndarray) -> float:
-    """I(A;B|X) in nats for a 3-d joint law with axes (X, A, B)."""
+def conditional_mutual_information(t: JointPmf | np.ndarray) -> float | np.ndarray:
+    """I(A;B|X) in nats for a 3-d joint law with axes (X, A, B).
+
+    t may carry leading axes, as in mutual_information.
+    """
     probs = as_probs(t)
-    if probs.ndim != 3:
+    if probs.ndim < 3:
         raise ValueError("conditional_mutual_information requires a 3-d joint")
-    p_x = probs.sum(axis=(1, 2))
-    p_xa = probs.sum(axis=2)
-    p_xb = probs.sum(axis=1)
+    p_x = probs.sum(axis=(-2, -1))
+    p_xa = probs.sum(axis=-1)
+    p_xb = probs.sum(axis=-2)
     # sum p(x,a,b) ln[ p(x,a,b) p(x) / (p(x,a) p(x,b)) ] over the support
-    num = probs * p_x[:, None, None]
-    den = p_xa[:, :, None] * p_xb[:, None, :]
-    mask = probs > ZERO_TOL
-    total = float(np.sum(probs[mask] * np.log(num[mask] / den[mask])))
-    return max(total, 0.0)
+    return _information(probs, probs * p_x[..., None, None],
+                        p_xa[..., :, None] * p_xb[..., None, :], 3)
 
 
 def compose_markov(p0: Pmf, chan1: CondPmf, chan2: CondPmf) -> JointPmf:

@@ -38,12 +38,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import LinearConstraint, linprog, minimize
 
-from .probkit import CondPmf, Pmf, ZERO_TOL
+from .probkit import (CondPmf, Pmf, conditional_mutual_information,
+                      mutual_information, tv_distance)
 
 FEASIBILITY_SLACK = 1e-9
 OPTIMUM_TOL = 1e-4
-
-_LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class RegionQuery:
             raise ValueError("observation channel input must match p0")
         if self.target.in_size != self.p0.size:
             raise ValueError("target channel input must match p0")
-        if self.delta is not None and self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if self.delta is not None and not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0 (got {self.delta!r})")
 
     @property
     def obs_size(self) -> int:
@@ -97,14 +96,6 @@ class CurvePoint:
     finite: RegionPoint
 
 
-def _as_channel_array(q, in_size: int, out_size: int) -> np.ndarray:
-    arr = q.rows if isinstance(q, CondPmf) else np.asarray(q, dtype=np.float64)
-    if arr.shape != (in_size, out_size):
-        raise ValueError(f"channel shape {arr.shape} incompatible with "
-                         f"({in_size}, {out_size})")
-    return arr
-
-
 def _obs_marginal(query: RegionQuery) -> np.ndarray:
     return query.p0.probs @ query.obs_channel.rows
 
@@ -114,66 +105,7 @@ def _induced_joint(q_arr: np.ndarray, query: RegionQuery) -> np.ndarray:
 
 
 def _tv_to_target(q_arr: np.ndarray, query: RegionQuery) -> float:
-    return 0.5 * float(np.abs(_induced_joint(q_arr, query) - query.target_joint).sum())
-
-
-def _mi_batch(q_batch: np.ndarray, pxh: np.ndarray) -> np.ndarray:
-    joint = pxh[None, :, None] * q_batch
-    py = joint.sum(axis=1)
-    outer = pxh[None, :, None] * py[:, None, :]
-    mask = joint > ZERO_TOL
-    terms = np.zeros_like(joint)
-    np.divide(joint, np.maximum(outer, _LOG_FLOOR), out=terms, where=mask)
-    np.log(terms, out=terms, where=mask)
-    terms *= joint
-    terms[~mask] = 0.0
-    return np.maximum(terms.sum(axis=(1, 2)), 0.0)
-
-
-def _cmi_batch(q_batch: np.ndarray, query: RegionQuery) -> np.ndarray:
-    # joint over (candidate, action, obs, out)
-    t = np.einsum("x,xa,mab->mxab", query.p0.probs, query.obs_channel.rows, q_batch)
-    p_x = query.p0.probs
-    p_xa = t.sum(axis=3)
-    p_xb = t.sum(axis=2)
-    num = t * p_x[None, :, None, None]
-    den = p_xa[:, :, :, None] * p_xb[:, :, None, :]
-    mask = t > ZERO_TOL
-    terms = np.zeros_like(t)
-    np.divide(num, np.maximum(den, _LOG_FLOOR), out=terms, where=mask)
-    np.log(terms, out=terms, where=mask)
-    terms *= t
-    terms[~mask] = 0.0
-    return np.maximum(terms.sum(axis=(1, 2, 3)), 0.0)
-
-
-def finite_agent_rate(q, query: RegionQuery) -> float:
-    """I(obs; out) under p0, the observation channel, and q: the rate at
-    least one agent must carry."""
-    arr = _as_channel_array(q, query.obs_size, query.out_size)
-    return float(_mi_batch(arr[None], _obs_marginal(query))[0])
-
-
-def per_agent_rate(q, query: RegionQuery) -> float:
-    """I(obs; out | action): the common rate every agent carries in the
-    many-agent regime."""
-    arr = _as_channel_array(q, query.obs_size, query.out_size)
-    return float(_cmi_batch(arr[None], query)[0])
-
-
-def _induced_coeff_matrix(query: RegionQuery) -> np.ndarray:
-    """Linear map from flattened channel entries (a, b) to the flattened
-    induced joint cells (x, y): J[(x,y),(a,b)] = p0(x) obs(a|x) [b == y]."""
-    a_size, b_size = query.obs_size, query.out_size
-    sx = query.p0.size
-    coeff = np.zeros((sx * b_size, a_size * b_size))
-    for x in range(sx):
-        for y in range(b_size):
-            row = x * b_size + y
-            for a in range(a_size):
-                coeff[row, a * b_size + y] = \
-                    query.p0.probs[x] * query.obs_channel.rows[x, a]
-    return coeff
+    return tv_distance(_induced_joint(q_arr, query), query.target_joint)
 
 
 def _lifted_polytope(query: RegionQuery, radius: float | None = None) -> dict:
@@ -187,7 +119,8 @@ def _lifted_polytope(query: RegionQuery, radius: float | None = None) -> dict:
     n_q = a_size * b_size
     n_s = query.p0.size * b_size
     target = query.target_joint.reshape(-1)
-    coeff = _induced_coeff_matrix(query)
+    # J[(x, y), (a, b)] = p0(x) obs(a|x) [b == y] maps q to the induced joint
+    coeff = np.kron(query.p0.probs[:, None] * query.obs_channel.rows, np.eye(b_size))
 
     a_ub = np.block([[coeff, -np.eye(n_s)], [-coeff, -np.eye(n_s)]])
     b_ub = np.concatenate([target, -target])
@@ -250,9 +183,11 @@ def _gradient(kind: str, q_arr: np.ndarray, query: RegionQuery) -> np.ndarray:
 
 
 def _objective_batch(kind: str, q_batch: np.ndarray, query: RegionQuery) -> np.ndarray:
+    # joint over (candidate, action, obs, out)
+    t = np.einsum("x,xa,mab->mxab", query.p0.probs, query.obs_channel.rows, q_batch)
     if kind == "finite":
-        return _mi_batch(q_batch, _obs_marginal(query))
-    return _cmi_batch(q_batch, query)
+        return mutual_information(t.sum(axis=1))
+    return conditional_mutual_information(t)
 
 
 def _slsqp(kind: str, q0: np.ndarray, polytope: dict,

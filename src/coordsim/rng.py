@@ -110,7 +110,8 @@ def categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def right_closed_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative sums with the final entry pinned to exactly 1.0."""
-    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-    cdf[-1] = 1.0
+    """Cumulative sums along the last axis, each final entry pinned to
+    exactly 1.0."""
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64), axis=-1)
+    cdf[..., -1] = 1.0
     return cdf

@@ -42,8 +42,6 @@ _OTHER_SCHEME_EPSILONS = {"direct": ("ag", "zero"), "binned": ("slacks",)}
 class RunSpec:
     """Validated run spec with every section materialized as library types."""
 
-    x_size: int
-    y_size: int
     p0: Pmf
     obs_channel: CondPmf
     target: CondPmf
@@ -245,10 +243,10 @@ def parse_runspec(document: dict) -> RunSpec:
         # this run will call the solver: pay the scipy.optimize import in set-up
         from . import region  # noqa: F401
     return RunSpec(
-        x_size=x_size, y_size=y_size, p0=Pmf(p0 / p0.sum()), obs_channel=obs,
-        target=target, scheme_kind=kind, rates=rates, epsilons=epsilons,
-        aux_channel=aux, n_list=n_list, L_list=L_list, trials=trials, seed=seed,
-        delta_list=delta_list, budget=budget, region_delta_grid=delta_grid)
+        p0=Pmf(p0 / p0.sum()), obs_channel=obs, target=target, scheme_kind=kind,
+        rates=rates, epsilons=epsilons, aux_channel=aux, n_list=n_list,
+        L_list=L_list, trials=trials, seed=seed, delta_list=delta_list,
+        budget=budget, region_delta_grid=delta_grid)
 
 
 def _finite(text: str) -> float:

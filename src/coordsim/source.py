@@ -48,8 +48,7 @@ class SourceConfig:
     @cached_property
     def _obs_cdf(self) -> np.ndarray:
         """One right-closed cdf row per action symbol."""
-        cdf = np.cumsum(self.obs_channel.rows, axis=1)
-        cdf[:, -1] = 1.0
+        cdf = rng.right_closed_cdf(self.obs_channel.rows)
         cdf.setflags(write=False)
         return cdf
 

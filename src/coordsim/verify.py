@@ -670,8 +670,9 @@ def ac8_zero_delta_consistency() -> CheckResult:
         issues.append(f"fidelity floor {dmin:.3e} not ~0 for reachable target")
     fin = region_mod.min_finite_agent_rate(query)
     per = region_mod.min_per_agent_rate(query)
-    fin_expected = region_mod.finite_agent_rate(q_true, query)
-    per_expected = region_mod.per_agent_rate(q_true, query)
+    triple = compose_markov(p0, obs, q_true)
+    fin_expected = mutual_information(triple.pair_marginal(1, 2))
+    per_expected = conditional_mutual_information(triple)
     if abs(fin.rate - fin_expected) > CONSISTENCY_TOL:
         issues.append(f"finite rate {fin.rate:.8f} vs {fin_expected:.8f}")
     if abs(per.rate - per_expected) > CONSISTENCY_TOL:

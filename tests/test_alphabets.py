@@ -17,9 +17,8 @@ from coordsim.harness import ExperimentConfig, run_experiment
 from coordsim.probkit import (CondPmf, Pmf, compose_markov,
                               conditional_mutual_information, entropy,
                               mutual_information)
-from coordsim.region import (RegionQuery, finite_agent_rate,
-                             min_achievable_delta, min_finite_agent_rate,
-                             min_per_agent_rate, per_agent_rate)
+from coordsim.region import (RegionQuery, _objective_batch, min_achievable_delta,
+                             min_finite_agent_rate, min_per_agent_rate)
 from coordsim.source import SourceConfig, draw_actions
 from coordsim.typicality import is_strongly_typical
 
@@ -109,7 +108,12 @@ class TestRegion:
         dmin, q_arg = min_achievable_delta(query)
         assert dmin <= 1e-9
         assert q_arg.rows.shape == (3, 2)
-        assert per_agent_rate(AUX_32, query) <= finite_agent_rate(AUX_32, query) + 1e-10
+        # the solver's objectives on the 3-to-2 channel, against probkit
+        triple = ternary_triple()
+        for kind, expected in (("finite", mutual_information(triple.pair_marginal(1, 2))),
+                               ("per_agent", conditional_mutual_information(triple))):
+            assert _objective_batch(kind, AUX_32.rows[None], query) == \
+                pytest.approx([expected], abs=1e-12)
 
     def test_solver_three_rows_binary_output(self):
         target = CondPmf(GEN.dirichlet((2.0, 2.0), size=3))

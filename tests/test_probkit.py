@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordsim.probkit import (CondPmf, JointPmf, Pmf,
                               compose_markov, conditional_mutual_information,
                               entropy, joint_type, mutual_information,
                               tv_distance)
+from coordsim.verify import INFO_TOL, _oracle_cmi, _oracle_mi
 
 LN2 = math.log(2.0)
 
@@ -183,6 +186,36 @@ class TestInformation:
                 CondPmf(generator.dirichlet(np.ones(2), size=2)))
             assert conditional_mutual_information(triple) <= \
                 mutual_information(triple.pair_marginal(1, 2).probs) + 1e-10
+
+
+@st.composite
+def table_stacks(draw, ndim):
+    """Tables over 2-3 symbols per axis, stacked over one or two leading
+    axes; weights on a coarse grid, so zero cells are common."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=ndim, max_size=ndim)))
+    count = int(np.prod(lead))
+    tables = []
+    for _ in range(count):
+        cells = draw(st.lists(st.sampled_from((0, 0, 1, 2, 7)), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape))).filter(any))
+        tables.append(np.array(cells, dtype=np.float64).reshape(shape) / sum(cells))
+    return np.array(tables).reshape(lead + shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), ndim=st.sampled_from((2, 3)))
+def test_information_over_a_stack_equals_each_table_alone(data, ndim):
+    stack = data.draw(table_stacks(ndim))
+    kernel, oracle = ((mutual_information, _oracle_mi) if ndim == 2
+                      else (conditional_mutual_information, _oracle_cmi))
+    values = kernel(stack)
+    assert isinstance(values, np.ndarray) and values.shape == stack.shape[:-ndim]
+    for index in np.ndindex(values.shape):
+        alone = kernel(stack[index])
+        assert isinstance(alone, float)
+        assert alone == values[index]  # bit for bit
+        assert abs(alone - max(oracle(stack[index]), 0.0)) <= INFO_TOL
 
 
 class TestComposeMarkov:

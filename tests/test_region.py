@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordsim.probkit import (CondPmf, Pmf, compose_markov,
+from coordsim.probkit import (CondPmf, Pmf, as_probs, compose_markov,
                               conditional_mutual_information,
                               mutual_information, tv_distance)
 from coordsim.region import (FEASIBILITY_SLACK, OPTIMUM_TOL, RegionQuery,
-                             finite_agent_rate,
-                             min_achievable_delta, min_finite_agent_rate,
-                             min_per_agent_rate, per_agent_rate,
+                             _objective_batch, min_achievable_delta,
+                             min_finite_agent_rate, min_per_agent_rate,
                              rate_delta_curve)
 
 
@@ -23,24 +22,38 @@ def flip_query(obs_flip=0.2, target_flip=0.38, p0=None, delta=None):
                        delta=delta)
 
 
+def objective(kind, q, query):
+    """The solver's objective at one channel q."""
+    return float(_objective_batch(kind, as_probs(q)[None], query)[0])
+
+
+def channel_rate(kind, q, query):
+    """The rate of channel q, from probkit on the composed triple."""
+    triple = compose_markov(query.p0, query.obs_channel, CondPmf(as_probs(q)))
+    return (conditional_mutual_information(triple) if kind == "per_agent"
+            else mutual_information(triple.pair_marginal(1, 2)))
+
+
 class TestRates:
+    """The objectives the solver minimizes, at fixed channels."""
+
     def test_constant_output_channel_zero_rate(self):
         query = flip_query()
         q = CondPmf([[1.0, 0.0], [1.0, 0.0]])
-        assert finite_agent_rate(q, query) == 0.0
-        assert per_agent_rate(q, query) == 0.0
+        assert objective("finite", q, query) == 0.0
+        assert objective("per_agent", q, query) == 0.0
 
     def test_noiseless_identity_gives_source_entropy(self):
         query = RegionQuery(p0=Pmf.uniform(2), obs_channel=CondPmf(np.eye(2)),
                             target=CondPmf(np.eye(2)))
-        assert finite_agent_rate(CondPmf(np.eye(2)), query) == \
+        assert objective("finite", CondPmf(np.eye(2)), query) == \
             pytest.approx(math.log(2), abs=1e-12)
 
     def test_finite_rate_matches_composed_mutual_information(self):
         query = flip_query(obs_flip=0.1)
         q = CondPmf.binary_flip(0.1)
         triple = compose_markov(query.p0, query.obs_channel, q)
-        assert finite_agent_rate(q, query) == \
+        assert objective("finite", q, query) == \
             pytest.approx(mutual_information(triple.pair_marginal(1, 2).probs),
                           abs=1e-12)
 
@@ -53,7 +66,7 @@ class TestRates:
                 target=CondPmf(generator.dirichlet(np.ones(2), size=2)))
             q = generator.dirichlet(np.ones(2), size=2)
             triple = compose_markov(query.p0, query.obs_channel, CondPmf(q))
-            assert per_agent_rate(q, query) == \
+            assert objective("per_agent", q, query) == \
                 pytest.approx(conditional_mutual_information(triple), abs=1e-12)
 
     def test_noiseless_observation_kills_per_agent_rate(self):
@@ -62,7 +75,7 @@ class TestRates:
         generator = np.random.default_rng(8)
         for _ in range(10):
             q = generator.dirichlet(np.ones(2), size=2)
-            assert per_agent_rate(q, query) == pytest.approx(0.0, abs=1e-12)
+            assert objective("per_agent", q, query) == pytest.approx(0.0, abs=1e-12)
 
     def test_ordering_per_agent_at_most_finite(self):
         generator = np.random.default_rng(14)
@@ -72,7 +85,7 @@ class TestRates:
                 obs_channel=CondPmf(generator.dirichlet(np.ones(2), size=2)),
                 target=CondPmf(generator.dirichlet(np.ones(2), size=2)))
             q = generator.dirichlet(np.ones(2), size=2)
-            assert per_agent_rate(q, query) <= finite_agent_rate(q, query) + 1e-10
+            assert objective("per_agent", q, query) <= objective("finite", q, query) + 1e-10
 
 
 class TestFidelityFloor:
@@ -143,13 +156,12 @@ class TestConstrainedMinima:
                 obs_channel=CondPmf(generator.dirichlet(np.ones(2), size=2)),
                 target=CondPmf(generator.dirichlet(np.ones(2), size=2)),
                 delta=float(generator.uniform(0.05, 0.4)))
-            for solve, rate_fn in ((min_per_agent_rate, per_agent_rate),
-                                   (min_finite_agent_rate, finite_agent_rate)):
+            for kind, solve in SOLVERS:
                 point = solve(query)
                 if not point.feasible:
                     continue
                 assert point.achieved_tv <= query.delta + FEASIBILITY_SLACK
-                assert point.rate == pytest.approx(rate_fn(point.q_star, query),
+                assert point.rate == pytest.approx(channel_rate(kind, point.q_star, query),
                                                    abs=1e-10)
                 joint = query.p0.probs[:, None] * (query.obs_channel.rows @ point.q_star.rows)
                 assert tv_distance(joint, query.target_joint) == \
@@ -162,8 +174,8 @@ class TestConstrainedMinima:
                             target=CondPmf(obs.rows @ q_true.rows), delta=0.0)
         fin = min_finite_agent_rate(query)
         per = min_per_agent_rate(query)
-        assert fin.rate == pytest.approx(finite_agent_rate(q_true, query), abs=1e-6)
-        assert per.rate == pytest.approx(per_agent_rate(q_true, query), abs=1e-6)
+        assert fin.rate == pytest.approx(channel_rate("finite", q_true, query), abs=1e-6)
+        assert per.rate == pytest.approx(channel_rate("per_agent", q_true, query), abs=1e-6)
         assert per.rate <= fin.rate + 1e-10
 
 
@@ -197,6 +209,12 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             flip_query(delta=-0.1)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        # unrefused, NaN reaches linprog's b_ub and inf warns inside scipy
+        with pytest.raises(ValueError, match="delta"):
+            flip_query(delta=delta)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RegionQuery(p0=Pmf.uniform(3), obs_channel=CondPmf.binary_flip(0.2),
@@ -212,10 +230,7 @@ def assert_certified(point, query, kind):
     whose duality gap meets the optimum tolerance."""
     assert point.feasible
     assert point.achieved_tv <= query.delta + FEASIBILITY_SLACK
-    triple = compose_markov(query.p0, query.obs_channel, point.q_star)
-    expected = (conditional_mutual_information(triple) if kind == "per_agent"
-                else mutual_information(triple.pair_marginal(1, 2).probs))
-    assert point.rate == pytest.approx(expected, abs=1e-9)
+    assert point.rate == pytest.approx(channel_rate(kind, point.q_star, query), abs=1e-9)
     assert 0.0 <= point.gap <= OPTIMUM_TOL
 
 

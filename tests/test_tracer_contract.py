@@ -22,7 +22,7 @@ def tracing(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def _spec(tmp_path, scheme, n):
+def _spec(tmp_path, scheme, n, delta_grid=None):
     document = {
         "alphabets": {"x_size": 2, "y_size": 2},
         "source": {"p0": [0.5, 0.5], "obs_channel": [[0.9, 0.1], [0.1, 0.9]]},
@@ -31,6 +31,8 @@ def _spec(tmp_path, scheme, n):
         "experiment": {"n_list": [n], "L_list": [2], "trials": 4, "seed": 3,
                        "delta_list": [0.2], "budget": 2000},
     }
+    if delta_grid is not None:
+        document["region"] = {"delta_grid": delta_grid}
     path = tmp_path / f"{scheme['kind']}.json"
     path.write_text(json.dumps(document))
     return str(path)
@@ -74,6 +76,28 @@ def test_traced_simulate_records_every_coding_layer(tracing, tmp_path):
                 layers.DECODE, layers.BLOCK, layers.FOLD, layers.DRAW,
                 layers.TEST, layers.BOUNDS, *layers.PROBKIT}
     assert expected <= names, sorted(expected - names)
+
+
+def test_traced_region_records_every_solver_layer(tracing, tmp_path):
+    layers, Tracer = tracing
+    from coordsim import cli
+
+    deltas = [0.0, 0.05, 0.3]
+    spec = _spec(tmp_path, {"kind": "direct", "rates": [0.3],
+                            "epsilons": {"typicality": 0.5, "slacks": [0.05]}}, 20,
+                 delta_grid=deltas)
+    solved = []
+    tracer = Tracer()
+    with tracer:
+        layers.install(tracer, solved)
+        assert cli.cmd_region(spec, str(tmp_path / "region.csv")) == 0
+    names = {span.name for span in tracer.spans}
+    expected = {layers.FLOOR, layers.CURVE, layers.SOLVE_PER, layers.SOLVE_FIN,
+                layers.LINPROG}
+    assert expected <= names, sorted(expected - names)
+    # run.py rechecks every returned channel from these entries
+    assert sorted((query.delta, kind) for kind, query, _ in solved) == \
+        sorted((delta, kind) for delta in deltas for kind in ("finite", "per_agent"))
 
 
 def test_traced_spans_round_trip_through_json(tracing, tmp_path):
