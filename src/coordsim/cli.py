@@ -75,6 +75,9 @@ def _aux_for_delta(spec: RunSpec, delta: float, cache: dict) -> CondPmf:
 def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
                  seed_override: int | None = None, timings: bool = False) -> int:
     """Run the experiment grid of a spec and write one CSV row per cell."""
+    if workers < 1:
+        print(f"error: --workers must be at least 1, got {workers}", file=sys.stderr)
+        return EXIT_SPEC
     try:
         spec = load_runspec(spec_path)
         seed = (spec.seed if seed_override is None

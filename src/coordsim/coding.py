@@ -11,7 +11,9 @@ Two constructions share the machinery here:
     ceil(e^{n(R' - eps0)}) codewords each, finds the first typical (bin, word)
     pair but transmits only the bin number, and the decoder searches for the
     unique word tuple (together with some action sequence) that makes the
-    stacked length-nL pair jointly typical.
+    stacked length-nL pair jointly typical.  The decoder takes a block of
+    trials at once, and trials that place their column classes in the same
+    order share one dynamic program (see decode_binned).
 
 Codebooks are lazy: a codeword is a pure function of
 (seed, agent, bin, word, position), so arbitrarily large books cost nothing
@@ -52,8 +54,9 @@ MAX_TOTAL_CODEWORDS = 2**48
 _SCAN_BATCH_START = 64
 _SCAN_BATCH_MAX = 8192
 
-# symbols (trials * (L + 1) * n) one chunk of a trial block draws; it caps
-# the memory a block's arrays take, whatever its trial count
+# symbols (trials * (L + 1) * n) one chunk of a trial block draws, and
+# word-tuple positions (trials * words^L * n) one pool of binned decodes
+# holds; it caps the memory a block's arrays take, whatever its trial count
 _CHUNK_POSITIONS = 2**15
 
 # bytes of scanned prefix one CodebookSpec keeps, at (|Y| - 1) * 8 * ceil(n/64)
@@ -62,9 +65,9 @@ _CHUNK_POSITIONS = 2**15
 _PREFIX_CAP_BYTES = 16 * 2**20
 
 
-# the most word-tuple positions (words^L * n), and the most dynamic-program
-# states one step may grow, that decode_binned takes on; a decode near
-# either bound peaks at about 0.5 GB
+# the most word-tuple positions (words^L * n) of one trial, and the most
+# dynamic-program states one step may grow, that decode_binned takes on; a
+# decode near either bound peaks at about 0.5 GB
 DECODE_WORK_CAP = 2**22
 
 
@@ -74,7 +77,8 @@ class DecoderBudgetExceeded(RuntimeError):
     Distinct from a modeled decoding error: it means the instance is too
     large to decode faithfully, not that the code failed.  The work counts
     depend only on the decoder's inputs, so a refusal replays exactly.
-    A trial runner sets trial_index to the trial whose decode it refused.
+    decode_binned sets trial_index to the refused trial's position in its
+    block, and run_binned_trial then sets it to that trial's index.
     """
 
     trial_index: int | None = None
@@ -513,23 +517,21 @@ def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
     the stacked count table inside [lo, hi].
 
     hists[h, j] positions carry the column class classes[j] (per output
-    symbol, how many agents emit it).  Giving m[j, a] of those positions
-    action a adds m[j, a] * classes[j] to row a of the table.  A dynamic
-    program over all classes but the last carries every reachable
-    (histogram, table) state, drops states already above a bound (counts
-    only grow) and merges duplicates.  For the last class each bound
-    confines one m[a] to an interval, so a state is feasible iff those
-    intervals admit the class's count as a sum.  The rarest classes go
-    first, which keeps the state count small and leaves the most common
-    class to the closed-form step.
+    symbol, how many agents emit it), and the classes come in the order
+    the program places them.  Giving m[j, a] of those positions action a
+    adds m[j, a] * classes[j] to row a of the table.  A dynamic program
+    over all classes but the last carries every reachable (histogram,
+    table) state, drops states already above a bound (counts only grow)
+    and merges duplicates.  For the last class each bound confines one m[a]
+    to an interval, so a state is feasible iff those intervals admit the
+    class's count as a sum.  A histogram's states never meet another's, so
+    deciding several histograms at once decides each as it would alone.
 
     Raises DecoderBudgetExceeded before a step would grow more than
     DECODE_WORK_CAP states: a state with t positions of the class to place
     grows into one state per composition of t into |X| parts.
     """
     sx, sy = lo.shape
-    order = np.argsort(hists.sum(axis=0), kind="stable")
-    hists, classes = hists[:, order], classes[order]
     owner = np.arange(hists.shape[0])
     # entries stay below 2nL: a bound (at most nL) plus one step (at most nL)
     n_l = int(hists[0].sum()) * int(classes[0].sum())
@@ -576,64 +578,183 @@ def _feasible_histograms(hists: np.ndarray, classes: np.ndarray, lo: np.ndarray,
     return feasible
 
 
-def decode_binned(bin_indices, cfg: BinnedSchemeConfig, specs) -> BinnedDecodeResult:
-    """Joint decoding from the received bin numbers.
+@lru_cache(maxsize=64)
+def _class_tables(agents: int, sy: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The column classes of `agents` agents over sy output symbols, and
+    how each agent moves them.
 
-    Finds every word tuple (one word per agent's bin) for which some action
-    sequence makes the stacked length-nL pair jointly typical; the tuple
-    must be unique, the witnessing action sequence need not be.  The
-    result is exactly that of the literal decoder the acceptance checks
-    run (verify._oracle_decode).
+    A class is a count vector over output symbols (how many agents emit
+    each one at a position); `classes` holds every vector summing to
+    `agents`, in lexicographic order.  moves[l][c * sy + b] is the class
+    that class c of agents 0 .. l - 1 becomes when agent l emits b; the
+    move tables are int16 when every index c * sy + b fits, which keeps a
+    decoder pool's class arrays small.  All tables are read-only.
+    """
+    classes = np.zeros((1, sy), dtype=np.int64)
+    moves = []
+    for _ in range(agents):
+        classes, moved = np.unique((classes[:, None] + np.eye(sy, dtype=np.int64)).reshape(-1, sy),
+                                   axis=0, return_inverse=True)
+        moves.append(moved.reshape(-1))
+    dtype = np.int16 if len(classes) * sy < 2**15 else np.int64
+    moves = [move.astype(dtype) for move in moves]
+    for table in (classes, *moves):
+        table.setflags(write=False)
+    return classes, tuple(moves)
+
+
+def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> list[BinnedDecodeResult]:
+    """Joint decoding of a block of trials from their received bin numbers.
+
+    bin_tuples holds one bin number per agent for each trial; the result
+    holds one BinnedDecodeResult per trial, in the same order.  For each
+    trial the decoder finds every word tuple (one word per agent's bin)
+    for which some action sequence makes the stacked length-nL pair
+    jointly typical; the tuple must be unique, the witnessing action
+    sequence need not be.  Each result is exactly that of the literal
+    decoder the acceptance checks run (verify._oracle_decode) on its
+    trial alone.
 
     No action sequence is enumerated: the stacked counts depend on the
     sequence only through how many positions of each column class (how many
     agents emit each output symbol there) receive each action, so a tuple
-    is decided by its class histogram, and one dynamic program decides all
-    histograms at once (see _feasible_histograms).
+    is decided by its class histogram, and one dynamic program decides many
+    histograms at once (see _feasible_histograms).  The trials go in pools
+    whose word-tuple tables hold at most _CHUNK_POSITIONS positions, at
+    least one trial each (see _decode_pool).
 
-    Raises DecoderBudgetExceeded, before allocating, when the word-tuple
-    table (words^L * n positions) or one step of the dynamic program would
-    pass DECODE_WORK_CAP.
+    Raises ValueError when a codebook's alphabet is not the design pair's
+    output alphabet.  Raises DecoderBudgetExceeded, before allocating, when
+    a trial's word-tuple table (words^L * n positions) or one step of its
+    dynamic program would pass DECODE_WORK_CAP; its trial_index is the
+    position of the first refused trial in bin_tuples.
     """
-    bins = [int(w) for w in bin_indices]
-    num_agents = len(bins)
+    num_agents = len(specs)
+    bins = np.array(bin_tuples, dtype=np.int64).reshape(-1, num_agents)
+    if bins.shape[0] != len(bin_tuples):
+        raise ValueError("every bin tuple needs one bin per agent")
     n = specs[0].n
     words = specs[0].words_per_bin
     if any(s.n != n or s.words_per_bin != words for s in specs):
         raise ValueError("agent codebooks must share blocklength and bin size")
     sy = cfg.pair_src_out.shape[1]
+    for spec in specs:
+        if spec.p_y.size != sy:
+            raise ValueError(f"codebook alphabet has {spec.p_y.size} symbols but the "
+                             f"design pair's output alphabet has {sy}")
+    if not bins.size:
+        return []
     num_tuples = words**num_agents
     if num_tuples * n > DECODE_WORK_CAP:
-        raise DecoderBudgetExceeded(
+        exc = DecoderBudgetExceeded(
             f"{words}^{num_agents} word tuples of {n} positions exceed the work bound "
             f"{DECODE_WORK_CAP}")
-
-    # the column class of every (word tuple, position), one agent at a time:
-    # a class is a count vector over output symbols, and an agent emitting
-    # symbol b moves each class to the one with count b raised; word tuples
-    # run in lexicographic order, agent 0 slowest
-    books = [codeword_block(spec, w * words + np.arange(words, dtype=np.int64))
-             for spec, w in zip(specs, bins)]
-    classes = np.zeros((1, sy), dtype=np.int64)
-    column_class = np.zeros((1, n), dtype=np.int64)
-    for book in books:
-        classes, moved = np.unique((classes[:, None] + np.eye(sy, dtype=np.int64)).reshape(-1, sy),
-                                   axis=0, return_inverse=True)
-        column_class = moved.reshape(-1)[column_class[:, None] * sy + book].reshape(-1, n)
-    present, column_class = np.unique(column_class, return_inverse=True)
-    hist = np.bincount((np.arange(num_tuples)[:, None] * present.size
-                        + column_class.reshape(num_tuples, n)).reshape(-1),
-                       minlength=num_tuples * present.size).reshape(num_tuples, -1)
-    firsts, tuple_hist = _first_unique(hist.T, [n + 1] * present.size)
-    hists = hist[firsts]
+        exc.trial_index = 0
+        raise exc
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
-    feasible = _feasible_histograms(hists, classes[present], lo, hi)
-    matches = np.flatnonzero(feasible[tuple_hist])
-    if matches.size == 1:
-        chosen = tuple(int(v) for v in np.unravel_index(matches[0], (words,) * num_agents))
-        return BinnedDecodeResult(matches_found=1, v_tuple=chosen, y_seq=books[0][chosen[0]])
-    return BinnedDecodeResult(matches_found=int(matches.size), v_tuple=None, y_seq=books[0][0])
+    pool = max(1, _CHUNK_POSITIONS // (num_tuples * n))
+    results = []
+    for start in range(0, bins.shape[0], pool):
+        try:
+            results += _decode_pool(bins[start:start + pool], specs, lo, hi)
+        except DecoderBudgetExceeded as exc:
+            exc.trial_index += start
+            raise
+    return results
+
+
+def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
+                 hi: np.ndarray) -> list[BinnedDecodeResult]:
+    """decode_binned on one pool of trials, bins[t] holding trial t's bin
+    numbers.
+
+    The pool reads each agent's words in one codeword_block call, gathers
+    every (trial, word tuple, position)'s column class and counts every
+    (trial, word tuple)'s class histogram in one bincount.  A trial's
+    dynamic program places its present classes rarest first (by their
+    total over its distinct histograms, ties in class order), which keeps
+    the state count small and leaves the most common class to the
+    closed-form step; the trials that share that order share one program
+    over their distinct histograms.  If such a shared step would grow
+    more than DECODE_WORK_CAP states, the group's trials run their
+    programs one at a time, so each trial is refused exactly when, and
+    with the message that, its own program would be.
+    """
+    trials, agents = bins.shape
+    n, words = specs[0].n, specs[0].words_per_bin
+    classes, moves = _class_tables(agents, lo.shape[1])
+    sy = classes.shape[1]
+
+    # the column class of every (trial, word tuple, position), one agent at
+    # a time; word tuples run in lexicographic order, agent 0 slowest
+    books = [codeword_block(spec, (bins[:, l, None] * words + np.arange(words)).reshape(-1))
+             .reshape(trials, words, n) for l, spec in enumerate(specs)]
+    column_class = np.zeros((trials, 1, n), dtype=moves[0].dtype)
+    for move, book in zip(moves, books):
+        column_class = move[column_class[:, :, None] * sy
+                            + book[:, None].astype(move.dtype)].reshape(trials, -1, n)
+    # number the classes some tuple of the pool holds, in class order
+    present = np.bincount(column_class.reshape(-1), minlength=len(classes)) > 0
+    classes, width = classes[present], int(present.sum())
+    rows = trials * column_class.shape[1]
+    keys = (np.cumsum(present) - 1)[column_class.reshape(rows, n)]
+    keys += np.arange(rows)[:, None] * width
+    hist = np.bincount(keys.reshape(-1), minlength=rows * width).reshape(rows, width)
+    firsts, tuple_hist = _first_unique(hist.T, [n + 1] * width)
+    hists = hist[firsts]
+
+    # every trial's distinct histograms, as (trial, histogram) pairs in trial order
+    row_trial = np.repeat(np.arange(trials), column_class.shape[1])
+    pairs, tuple_pair = np.unique(row_trial * len(firsts) + tuple_hist, return_inverse=True)
+    pair_trial, pair_hist = np.divmod(pairs, len(firsts))
+    starts = np.flatnonzero(np.diff(pair_trial, prepend=-1))
+    totals = np.add.reduceat(hists[pair_hist], starts, axis=0)
+    # absent classes sort first and are cut off
+    orders = np.argsort(np.where(totals > 0, totals, -1), axis=1, kind="stable")
+    groups: dict[tuple, list[int]] = {}
+    for t, (order, absent) in enumerate(zip(orders.tolist(), (totals == 0).sum(axis=1))):
+        groups.setdefault(tuple(order[absent:]), []).append(t)
+
+    feasible = np.zeros(pairs.size, dtype=bool)
+    refused = None
+    for order, members in groups.items():
+        order = list(order)
+        share = np.isin(pair_trial, members)
+        owners, owner_of = np.unique(pair_hist[share], return_inverse=True)
+        try:
+            feasible[share] = _feasible_histograms(hists[owners][:, order], classes[order],
+                                                   lo, hi)[owner_of]
+            continue
+        except DecoderBudgetExceeded:
+            pass
+        # past the bound: each trial runs its own program, which refuses it
+        # exactly when it would be refused decoded alone
+        for t in members:
+            if refused is not None and t > refused.trial_index:
+                break
+            own = pair_trial == t
+            try:
+                feasible[own] = _feasible_histograms(hists[pair_hist[own]][:, order],
+                                                     classes[order], lo, hi)
+            except DecoderBudgetExceeded as exc:
+                exc.trial_index = t
+                refused = exc
+                break
+    if refused is not None:
+        raise refused
+
+    match = feasible[tuple_pair].reshape(trials, -1)
+    found = match.sum(axis=1)
+    # a trial with one match emits agent 0's word of that tuple, else word 0
+    chosen = np.where(found == 1, match.argmax(axis=1), 0)
+    ys = books[0][np.arange(trials), chosen // words**(agents - 1)]
+    results = []
+    for t, (count, flat) in enumerate(zip(found.tolist(), chosen.tolist())):
+        v_tuple = (tuple(int(v) for v in np.unravel_index(flat, (words,) * agents))
+                   if count == 1 else None)
+        results.append(BinnedDecodeResult(matches_found=count, v_tuple=v_tuple, y_seq=ys[t]))
+    return results
 
 
 def direct_specs(cfg: DirectSchemeConfig, source_cfg: SourceConfig, seed: int):
@@ -661,10 +782,11 @@ def _run_trials(encode, decode, source_cfg: SourceConfig, cfg, specs, seed: int,
     chunk has one draw, one typicality table stack for its source pairs and
     one for its (action, output) pairs; encoding stays one call per (trial,
     agent).  `decode(trials, results)` is the scheme's decoding step over a
-    chunk: it returns the emitted sequences, one row per trial, and per
-    trial the error case it ran into (B, Ca or Cb), or None when it
-    decoded.  A trial's label is A if some source pair is atypical, else
-    that case, else none or D by the output test.
+    chunk, one decode_direct or decode_binned call: it returns the emitted
+    sequences, one row per trial, and per trial the error case it ran into
+    (B, Ca or Cb), or None when it decoded.  A trial's label is A if some
+    source pair is atypical, else that case, else none or D by the output
+    test.
     """
     pair = cfg.pair_src_out
     target = report_target if report_target is not None else pair
@@ -727,26 +849,28 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
     any encoder failed, else joint decoding, with Ca for no matching word
     tuple and Cb for several.
 
-    A decode past the decoder's work bound raises DecoderBudgetExceeded
-    with trial_index set to its trial; the trials before it have decoded.
+    A chunk's trials whose encoders all succeeded go to decode_binned in
+    one call.  A decode past the decoder's work bound raises
+    DecoderBudgetExceeded with trial_index set to the first refused trial.
     """
     def decode(trials, results):
         ys = np.empty((len(results), source_cfg.n), dtype=np.int64)
-        failed = [not all(r.found for r in trial) for trial in results]
-        ys[failed] = specs[0]._words(np.zeros(sum(failed), dtype=np.int64))
-        failures = []
-        for t, trial in enumerate(results):
-            if failed[t]:
-                failures.append(ErrorCase.B)
-                continue
-            try:
-                out = decode_binned([r.w for r in trial], cfg, specs)
-            except DecoderBudgetExceeded as exc:
-                exc.trial_index = trials[t]
-                raise
+        ok = [t for t, trial in enumerate(results) if all(r.found for r in trial)]
+        failed = np.ones(len(results), dtype=bool)
+        failed[ok] = False
+        ys[failed] = specs[0]._words(np.zeros(int(failed.sum()), dtype=np.int64))
+        failures = [ErrorCase.B] * len(results)
+        if not ok:
+            return ys, failures
+        try:
+            decoded = decode_binned([[r.w for r in results[t]] for t in ok], cfg, specs)
+        except DecoderBudgetExceeded as exc:
+            exc.trial_index = trials[ok[exc.trial_index]]
+            raise
+        for t, out in zip(ok, decoded):
             ys[t] = out.y_seq
-            failures.append(None if out.matches_found == 1
-                            else ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB)
+            failures[t] = (None if out.matches_found == 1
+                           else ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB)
         return ys, failures
 
     return _run_trials(encode_binned, decode, source_cfg, cfg, specs, seed, trial_index,

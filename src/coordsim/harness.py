@@ -144,9 +144,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
     refusal raises ExperimentAborted naming the first refused trial: each
     block stops at its first, and blocks are read in trial order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     blocks = _split_blocks(cfg.trials, workers)
-    if workers <= 1 or len(blocks) <= 1:
+    if len(blocks) == 1:
         results = [_run_block(cfg, lo, hi) for lo, hi in blocks]
     else:
         # multiprocessing loads only for runs that fan out

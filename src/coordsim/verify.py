@@ -458,7 +458,7 @@ def ac6_binned_decoder_oracle() -> CheckResult:
         for trial in range(trials_each):
             specs = binned_specs(cfg, source_cfg, seed + trial)
             bins = list(bins_table[trial])
-            lib = decode_binned(bins, cfg, specs)
+            [lib] = decode_binned([bins], cfg, specs)
             oracle_matches, oracle_y = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
             bucket = min(len(oracle_matches), 2)
             match_coverage[bucket] = match_coverage.get(bucket, 0) + 1

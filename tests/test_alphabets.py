@@ -84,7 +84,7 @@ class TestSchemes:
                                  epsilon=0.9, triple=triple)
         src = SourceConfig(p0=P0_3, obs_channel=OBS_3, L=2, n=5)
         specs = binned_specs(cfg, src, 23)
-        result = decode_binned([0, 1], cfg, specs)
+        [result] = decode_binned([[0, 1]], cfg, specs)
         assert result.matches_found >= 0
         for outcome in run_binned_trial(src, cfg, specs, 23, 0, 20):
             assert 0.0 <= outcome.tv_realized <= 1.0

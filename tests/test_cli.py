@@ -180,6 +180,15 @@ class TestSimulateCommand:
         spec_path = write_spec(tmp_path, document)
         assert cli.cmd_simulate(spec_path, str(tmp_path / "x.csv")) == 3
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        spec_path = write_spec(tmp_path, base_spec())
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--spec", spec_path, "--out", str(out),
+                         "--workers", workers]) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replay_is_byte_identical(self, tmp_path):
         spec_path = write_spec(tmp_path, base_spec())
         out1 = tmp_path / "a.csv"

@@ -411,7 +411,7 @@ class TestDecodeBinned:
         specs = binned_specs(cfg, src, 5)
         assert specs[0].words_per_bin == 1
         for w in range(specs[0].num_bins):
-            result = decode_binned([w], cfg, specs)
+            [result] = decode_binned([[w]], cfg, specs)
             assert result.matches_found in (0, 1)
             if result.matches_found == 1:
                 assert result.v_tuple == (0,)
@@ -432,7 +432,7 @@ class TestDecodeBinned:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=6)
         specs = binned_specs(cfg, src, 5)
-        result = decode_binned([0, 0], cfg, specs)
+        [result] = decode_binned([[0, 0]], cfg, specs)
         assert result.matches_found > 1
         assert result.v_tuple is None
         assert np.array_equal(result.y_seq, codeword_block(specs[0], [0])[0])
@@ -446,7 +446,7 @@ class TestDecodeBinned:
                            L=2, n=1)
         specs = binned_specs(cfg, src, 5)
         assert specs[0].num_bins == 4 and specs[0].words_per_bin == 3
-        result = decode_binned([2, 1], cfg, specs)
+        [result] = decode_binned([[2, 1]], cfg, specs)
         assert result.matches_found == 0 and result.v_tuple is None
         assert result.y_seq.dtype == np.int64
         word_0 = codeword_block(specs[0], [2 * specs[0].words_per_bin])[0]
@@ -462,16 +462,59 @@ class TestDecodeBinned:
 
         monkeypatch.setattr(coding, "codeword_block", no_codewords)
         with pytest.raises(DecoderBudgetExceeded, match=r"2048\^2 word tuples of 2 positions"):
-            decode_binned([0, 1], cfg, specs)
+            decode_binned([[0, 1]], cfg, specs)
 
     def test_dynamic_program_states_past_the_bound_refused(self, monkeypatch):
         # 3^2 word tuples of 16 positions pass a bound of 145, yet the first
         # step of the dynamic program would grow more states than that
         cfg, specs = _instance(np.ones((2, 2, 2)), 2.5, 16, 2, 3, 7)
-        decode_binned([0, 1], cfg, specs)
+        decode_binned([[0, 1]], cfg, specs)
         monkeypatch.setattr(coding, "DECODE_WORK_CAP", 3**2 * 16 + 1)
         with pytest.raises(DecoderBudgetExceeded, match="states exceeds the work bound 145"):
-            decode_binned([0, 1], cfg, specs)
+            decode_binned([[0, 1]], cfg, specs)
+
+    @pytest.mark.parametrize("design, book", [(2, 3), (3, 2)])
+    def test_codebook_alphabet_must_match_the_design_pair(self, design, book):
+        cfg, _ = _instance(np.ones((2, 2, design)), 0.5, 4, 2, 2, 7)
+        specs = tuple(CodebookSpec(n=4, p_y=Pmf.uniform(book), seed=7, agent_id=l,
+                                   num_bins=3, words_per_bin=2) for l in range(2))
+        with pytest.raises(ValueError, match=f"codebook alphabet has {book} symbols but the "
+                                             f"design pair's output alphabet has {design}"):
+            decode_binned([[0, 1]], cfg, specs)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sx=st.integers(2, 3), sy=st.integers(2, 3), agents=st.integers(1, 3),
+           words=st.integers(1, 3), n=st.integers(1, 9), trials=st.integers(1, 8),
+           epsilon=st.floats(0.2, 3.0), seed=st.integers(0, 2**32),
+           per_pool=st.integers(1, 4), slack=st.one_of(st.integers(0, 400), st.just(2**22)))
+    def test_block_equals_each_trial_decoded_alone(self, sx, sy, agents, words, n, trials,
+                                                   epsilon, seed, per_pool, slack):
+        # pools of 1-4 trials and small work bounds: a block decodes each
+        # trial as it decodes alone, and a refused block names the first
+        # trial refused alone, with that trial's own message
+        draws = np.random.default_rng(seed)
+        cfg, specs = _instance(draws.random((sx, sx, sy)) + 0.02, epsilon, n, agents,
+                               words, seed)
+        bins = draws.integers(0, 3, (trials, agents)).tolist()
+        positions = words**agents * n
+        with mock.patch.object(coding, "DECODE_WORK_CAP", min(positions + slack, 2**22)):
+            alone, refused = [], None
+            for t, tuple_ in enumerate(bins):
+                try:
+                    alone += decode_binned([tuple_], cfg, specs)
+                except DecoderBudgetExceeded as exc:
+                    refused = (t, str(exc))
+                    break
+            with mock.patch.object(coding, "_CHUNK_POSITIONS", per_pool * positions):
+                try:
+                    block = decode_binned(bins, cfg, specs)
+                except DecoderBudgetExceeded as exc:
+                    assert (exc.trial_index, str(exc)) == refused
+                    return
+        assert refused is None and len(block) == trials
+        for a, b in zip(alone, block):
+            assert (a.matches_found, a.v_tuple) == (b.matches_found, b.v_tuple)
+            assert a.y_seq.tobytes() == b.y_seq.tobytes()
 
 
 def _instance(law, epsilon, n, agents, words, seed):
@@ -489,7 +532,7 @@ def _assert_matches_literal(bins, cfg, specs):
     checks; returns the number of matching word tuples."""
     n, agents = specs[0].n, len(bins)
     assert _clear_of_ties(cfg.pair_src_out.probs, n * agents, cfg.epsilon)
-    result = decode_binned(bins, cfg, specs)
+    [result] = decode_binned([bins], cfg, specs)
     matches, y_seq = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
     assert result.matches_found == len(matches)
     assert result.v_tuple == (matches[0] if len(matches) == 1 else None)
@@ -601,10 +644,11 @@ def _check_label_table(monkeypatch, scheme):
                 return EncodeResult(w=1, v=0, found=True, search_cost=2)
             return EncodeResult(w=None, v=None, found=False, search_cost=4)
 
-        def decode(bins, cfg, specs, matches=matches, decoded=decoded):
-            decoded.append(bins)
-            return BinnedDecodeResult(matches_found=matches, v_tuple=None,
-                                      y_seq=codeword_block(specs[0], [0])[0])
+        def decode(bin_tuples, cfg, specs, matches=matches, decoded=decoded):
+            decoded.extend(bin_tuples)
+            return [BinnedDecodeResult(matches_found=matches, v_tuple=None,
+                                       y_seq=codeword_block(specs[0], [0])[0])
+                    for _ in bin_tuples]
 
         monkeypatch.setattr(coding, f"encode_{scheme}", encode)
         monkeypatch.setattr(coding, "decode_binned", decode)

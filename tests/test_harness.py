@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordsim import coding, harness
-from coordsim.coding import (BinnedSchemeConfig, DirectSchemeConfig,
+from coordsim.coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
                              EncodeResult, ErrorCase, codeword_block,
                              decode_direct, direct_specs)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
@@ -207,6 +207,38 @@ class TestRunExperiment:
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("trial 22 of 40: 3000^2 word tuples")
+
+    def test_dynamic_program_refusal_inside_a_pool(self, monkeypatch):
+        # 4^2 word tuples of 10 positions pass a work bound of 162, but one
+        # step of trial 6's dynamic program grows 163 states.  In a single
+        # worker's run trial 6 is not the first trial of its decoder pool;
+        # either way the run aborts at trial 6 with that trial's own message
+        monkeypatch.setattr(coding, "DECODE_WORK_CAP", 162)
+        cfg = binned_config(n=10, trials=40, words=3.0)
+        refused_at = []
+        decode = coding.decode_binned
+
+        def recording_decode(bin_tuples, *args):
+            try:
+                return decode(bin_tuples, *args)
+            except DecoderBudgetExceeded as exc:
+                refused_at.append(exc.trial_index)
+                raise
+
+        monkeypatch.setattr(coding, "decode_binned", recording_decode)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ExperimentAborted) as caught:
+                run_experiment(cfg, workers=workers)
+            messages.append(str(caught.value))
+        assert refused_at and refused_at[0] > 0
+        assert messages == ["trial 6 of 40: a decoder step of 163 states exceeds the work "
+                            "bound 162; shrink n, L, or the codebook"] * 2
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(direct_config(trials=2), workers=workers)
 
     def test_validation(self):
         with pytest.raises(ValueError):
