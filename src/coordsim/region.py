@@ -9,13 +9,16 @@ the chain action - observation - output structurally.  For a query
     per-agent threshold      I(obs; out | action) (every agent pays it)
 
 minimized over all q whose induced action/output joint lies within total
-variation delta of the target joint.  Both objectives are convex in q.
-Lifting the TV ball with slacks s >= |J q - t| (J the linear map from q to
-the induced joint, t the target joint) makes the feasible set a polytope
-over (q, s).  Each minimization runs SLSQP over that polytope from a few
-fixed starts and keeps the best result.  Every solved point carries a
-Frank-Wolfe duality gap (Frank & Wolfe 1956; Jaggi, ICML 2013): by
-convexity,
+variation delta of the target joint.  Lifting the TV ball with slacks
+s >= |J q - t| (J the linear map from q to the induced joint, t the target
+joint) makes the feasible set a polytope over (q, s).  Both objectives are
+convex in q, so a local minimum over it is global.  The fidelity floor (the
+smallest achievable delta) is one linear program over that polytope.  So is
+rate zero: a rate is zero exactly where the rows of q agree within classes
+of observation symbols, and the channel on that face closest to the target
+decides it.  Otherwise SLSQP runs from the floor channel and any warm start,
+and the best point within the radius carries a Frank-Wolfe duality gap
+(Frank & Wolfe 1956; Jaggi, ICML 2013): by convexity,
 
     rate - optimum  <=  <grad f(q*), q*> - min over the polytope of <grad f(q*), q>,
 
@@ -24,10 +27,7 @@ certifies the documented tolerance on any alphabet.  Both objectives are
 sums over output symbols of convex, positively homogeneous terms, so the
 bound stays valid where q* has zero entries (the gradient floors them at
 1e-18); it can be loose, though, when the optimum leaves an output symbol
-unused.
-
-The unconstrained fidelity floor (the smallest achievable delta) is a plain
-linear program over the same lifted polytope and is solved exactly with HiGHS.
+unused.  Every linear program is solved exactly with HiGHS.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class RegionQuery:
 @dataclass(frozen=True)
 class RegionPoint:
     """One solved point: optimal rate (nats/symbol), the optimizing channel,
-    the fidelity it achieves, and the Frank-Wolfe duality gap certifying rate - optimum <= gap.  An infeasible
-    point carries gap 0.0: the floor LP's verdict is exact."""
+    the fidelity it achieves, and the Frank-Wolfe duality gap certifying
+    rate - optimum <= gap.  An infeasible point and a zero-rate point carry
+    gap 0.0: the floor LP's and the zero-rate face LP's verdicts are exact."""
 
     rate: float
     q_star: CondPmf
@@ -108,20 +109,24 @@ def _tv_to_target(q_arr: np.ndarray, query: RegionQuery) -> float:
     return tv_distance(_induced_joint(q_arr, query), query.target_joint)
 
 
-def _lifted_polytope(query: RegionQuery, radius: float | None = None) -> dict:
+def _lifted_polytope(query: RegionQuery, radius: float | None = None,
+                     classes: np.ndarray | None = None) -> dict:
     """Feasible set over x = (q, s) as linprog keyword arguments.
 
     q is the flattened channel, whose rows sum to one; s >= |J q - t| holds
     cell by cell, so TV(q) <= sum(s) / 2.  Given a radius, sum(s) <= 2 radius
-    keeps TV(q) within it.
+    keeps TV(q) within it.  Given a one-hot (symbol -> class) map, q holds
+    one row per class and the channel is classes @ q.
     """
-    a_size, b_size = query.obs_size, query.out_size
+    weights = query.p0.probs[:, None] * query.obs_channel.rows  # (x, a)
+    if classes is not None:
+        weights = weights @ classes
+    a_size, b_size = weights.shape[1], query.out_size
     n_q = a_size * b_size
     n_s = query.p0.size * b_size
     target = query.target_joint.reshape(-1)
     # J[(x, y), (a, b)] = p0(x) obs(a|x) [b == y] maps q to the induced joint
-    coeff = np.kron(query.p0.probs[:, None] * query.obs_channel.rows, np.eye(b_size))
-
+    coeff = np.kron(weights, np.eye(b_size))
     a_ub = np.block([[coeff, -np.eye(n_s)], [-coeff, -np.eye(n_s)]])
     b_ub = np.concatenate([target, -target])
     if radius is not None:
@@ -133,40 +138,41 @@ def _lifted_polytope(query: RegionQuery, radius: float | None = None) -> dict:
             "bounds": [(0.0, 1.0)] * n_q + [(0.0, None)] * n_s}
 
 
-def min_achievable_delta(query: RegionQuery) -> tuple[float, CondPmf]:
-    """Smallest total variation to the target joint over all channels q.
-
-    The objective is piecewise linear in q, so this is a linear program;
-    zero means the target is exactly reachable through the observation
-    channel.
-    """
-    a_size, b_size = query.obs_size, query.out_size
-    n_q = a_size * b_size
-    n_s = query.p0.size * b_size
-    c = np.concatenate([np.zeros(n_q), 0.5 * np.ones(n_s)])
-    res = linprog(c, method="highs", **_lifted_polytope(query))
+def _closest_channel(query: RegionQuery, classes: np.ndarray) -> tuple[float, np.ndarray]:
+    """TV to the target of the closest channel classes @ r, and that channel:
+    TV is piecewise linear in r, so this is one linear program."""
+    polytope = _lifted_polytope(query, classes=classes)
+    n_r = classes.shape[1] * query.out_size
+    c = np.concatenate([np.zeros(n_r), 0.5 * np.ones(len(polytope["bounds"]) - n_r)])
+    res = linprog(c, method="highs", **polytope)
     if not res.success:
-        raise RuntimeError(f"fidelity-floor LP failed: {res.message}")
-    q_arr = np.clip(res.x[:n_q].reshape(a_size, b_size), 0.0, None)
-    q_arr /= q_arr.sum(axis=1, keepdims=True)
-    return _tv_to_target(q_arr, query), CondPmf(q_arr)
+        raise RuntimeError(f"closest-channel LP failed: {res.message}")
+    rows = np.clip(res.x[:n_r].reshape(-1, query.out_size), 0.0, None)
+    q_arr = classes @ (rows / rows.sum(axis=1, keepdims=True))
+    return _tv_to_target(q_arr, query), q_arr
 
 
-def _toward_feasible(anchor: np.ndarray, cand: np.ndarray, radius: float,
-                     query: RegionQuery) -> np.ndarray:
-    """Largest step from a within-radius anchor toward cand that keeps the
-    fidelity at most `radius` (the ball is convex, so bisection works)."""
-    if _tv_to_target(cand, query) <= radius:
-        return cand
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo_t + hi_t)
-        point = anchor + mid * (cand - anchor)
-        if _tv_to_target(point, query) <= radius:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return anchor + lo_t * (cand - anchor)
+def min_achievable_delta(query: RegionQuery) -> tuple[float, CondPmf]:
+    """Smallest total variation to the target joint over all channels q;
+    zero means the target is exactly reachable through the observation channel."""
+    tv, q_arr = _closest_channel(query, np.eye(query.obs_size))
+    return tv, CondPmf(q_arr)
+
+
+def _zero_rate_classes(kind: str, query: RegionQuery) -> np.ndarray:
+    """One-hot (observation symbol -> class) map of the zero-rate face:
+    I(obs; out) = 0 iff every observed symbol has the same row of q, and
+    I(obs; out | action) = 0 iff rows agree within each component of the
+    graph linking two symbols that one action of positive probability can
+    produce."""
+    weights = query.p0.probs[:, None] * query.obs_channel.rows  # (x, a)
+    if kind == "finite":
+        weights = weights.sum(axis=0, keepdims=True)
+    reach = ((weights > 0).T @ (weights > 0)) | np.eye(query.obs_size, dtype=bool)
+    for _ in range(query.obs_size.bit_length()):
+        reach = reach @ reach
+    _, labels = np.unique(reach, axis=0, return_inverse=True)
+    return np.eye(labels.max() + 1)[labels.reshape(-1)]
 
 
 def _gradient(kind: str, q_arr: np.ndarray, query: RegionQuery) -> np.ndarray:
@@ -234,29 +240,23 @@ def _solve(kind: str, query: RegionQuery,
     if query.delta is None:
         raise ValueError("query.delta is required for rate minimization")
     delta = float(query.delta)
+    radius = delta + FEASIBILITY_SLACK
     delta_min, q_tv = min_achievable_delta(query)
-    if delta_min > delta + FEASIBILITY_SLACK:
+    if delta_min > radius:
         return RegionPoint(rate=math.inf, q_star=q_tv, achieved_tv=delta_min,
                            feasible=False, gap=0.0)
+    face_tv, q_face = _closest_channel(query, _zero_rate_classes(kind, query))
+    if face_tv <= radius:
+        return RegionPoint(rate=0.0, q_star=CondPmf(q_face), achieved_tv=face_tv,
+                           feasible=True, gap=0.0)
 
-    radius = delta + FEASIBILITY_SLACK
-    a_size, b_size = query.obs_size, query.out_size
-    starts = [q_tv.rows, np.full((a_size, b_size), 1.0 / b_size)]
-    for b in range(b_size):
-        const = np.zeros((a_size, b_size))
-        const[:, b] = 1.0
-        starts.append(const)
-    starts.extend(extra_starts or ())
-
-    # The repaired starts stay candidates: an exactly feasible start (a
-    # constant channel, a warm start from a smaller radius) is never lost to
-    # SLSQP round-off.  SLSQP solves within delta itself, leaving the slack
-    # as margin for its own constraint tolerance.
-    repaired = [_toward_feasible(q_tv.rows, start, radius, query) for start in starts]
+    # SLSQP solves within delta, leaving the slack as margin for its own
+    # tolerance; a point outside the radius (never the floor channel) is dropped.
+    starts = [q_tv.rows, *(extra_starts or ())]
     polytope = _lifted_polytope(query, delta)
-    solved = [_toward_feasible(q_tv.rows, _slsqp(kind, q0, polytope, query), radius, query)
-              for q0 in repaired]
-    candidates = np.array(repaired + solved)
+    solved = [_slsqp(kind, q0, polytope, query) for q0 in starts]
+    candidates = np.array([q for q in starts + solved
+                           if _tv_to_target(q, query) <= radius])
     values = _objective_batch(kind, candidates, query)
     best = int(np.argmin(values))
     return RegionPoint(rate=float(values[best]), q_star=CondPmf(candidates[best]),

@@ -402,11 +402,12 @@ def test_largest_seed_accepted():
     assert parse_runspec(document).seed == 2**64 - 1
 
 
-def fresh_python(script: str) -> str:
+def fresh_python(script: str, **env_vars: str) -> str:
     """Standard output of `script` run in a new interpreter on this source
-    tree; the test process has imported far more than a CLI run does."""
+    tree, with `env_vars` added to its environment; the test process has
+    imported far more than a CLI run does."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env_vars}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -463,6 +464,58 @@ def test_spec_loading_imports_the_solver_iff_the_run_uses_it(tmp_path, region, a
               f"coordsim.load_runspec({spec_path!r})\n"
               "print('coordsim.region' in sys.modules)\n")
     assert fresh_python(script) == f"{solver_loaded}\n"
+
+
+# Two 3x3 queries (p0, observation and target rows from Dirichlet(2)) with a
+# radius below the fidelity floor, one where the constraint binds and one
+# that admits rate zero.  Many channels tie at rate zero; which one SLSQP
+# returned used to depend on the BLAS thread count.
+THREAD_QUERIES = {
+    "a": {"p0": [0.12213503559681753, 0.45402545595261606, 0.4238395084505664],
+          "obs_channel": [[0.429789689136289, 0.14517899165642348, 0.42503131920728754],
+                          [0.06447848557730256, 0.20192959455619813, 0.7335919198664993],
+                          [0.592342476140448, 0.37019210993040763, 0.037465413929144355]],
+          "target": [[0.28045211079232335, 0.2835193721724565, 0.4360285170352202],
+                     [0.39460894129300467, 0.3447322717099557, 0.2606587869970397],
+                     [0.4584099488024654, 0.19922125073788488, 0.3423688004596496]],
+          "delta_grid": [0.004017357348498691, 0.042749176114323835, 0.09482086824031352]},
+    "b": {"p0": [0.2362960393892056, 0.28031666812447814, 0.4833872924863162],
+          "obs_channel": [[0.3714122697189854, 0.4102224906987565, 0.21836523958225823],
+                          [0.004373475828658504, 0.49070422511088835, 0.5049222990604532],
+                          [0.36102357815156466, 0.10393983909501515, 0.5350365827534201]],
+          "target": [[0.12462845983536146, 0.37526570880685606, 0.5001058313577825],
+                     [0.1751945538586332, 0.4976000452217805, 0.32720540091958633],
+                     [0.3995183514133652, 0.28171136351074855, 0.31877028507588623]],
+          "delta_grid": [0.02042706904225433, 0.0826512940346519, 0.1453470279598668]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_QUERIES))
+def test_zero_rate_outputs_independent_of_blas_threads(tmp_path, name):
+    # a solver-driven simulate at the zero-rate radius draws its codebooks
+    # from the region solver's channel, so both CSVs must match byte for byte
+    query = THREAD_QUERIES[name]
+    document = base_spec()
+    document["alphabets"] = {"x_size": 3, "y_size": 3}
+    document["source"] = {"p0": query["p0"], "obs_channel": query["obs_channel"]}
+    document["target"] = {"p_y_given_x": query["target"]}
+    del document["scheme"]["aux_channel"]
+    document["experiment"].update(n_list=[12], trials=20, delta_list=query["delta_grid"][2:])
+    document["region"]["delta_grid"] = query["delta_grid"]
+    spec_path = write_spec(tmp_path, document)
+    outputs = {}
+    for threads in ("1", "2"):
+        region_out, simulate_out = tmp_path / f"region{threads}.csv", tmp_path / f"sim{threads}.csv"
+        fresh_python("from coordsim import cli\n"
+                     f"assert cli.main(['region', '--spec', {spec_path!r}, "
+                     f"'--out', {str(region_out)!r}]) == 0\n"
+                     f"assert cli.main(['simulate', '--spec', {spec_path!r}, "
+                     f"'--out', {str(simulate_out)!r}]) == 0\n",
+                     OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = (region_out.read_bytes(), simulate_out.read_bytes())
+    assert outputs["1"] == outputs["2"]
+    zero_row = outputs["1"][0].decode().splitlines()[-1].split(",")
+    assert zero_row[1:3] == ["0", "0"]
 
 
 class TestVerifyCommand:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coordsim import region
 from coordsim.probkit import (CondPmf, Pmf, as_probs, compose_markov,
                               conditional_mutual_information,
                               mutual_information, tv_distance)
@@ -314,3 +315,120 @@ def test_solved_points_certified_and_curves_monotone(query, deltas):
             rates.append(point.rate)
         for earlier, later in zip(rates, rates[1:]):
             assert later <= earlier + 1e-9
+
+
+def zero_rate_components(kind, query):
+    """Class label per observation symbol, by union-find over the symbols
+    one source symbol of positive probability can produce together (for the
+    finite objective: over all observed symbols)."""
+    weights = query.p0.probs[:, None] * query.obs_channel.rows
+    groups = [np.flatnonzero(weights.sum(axis=0))] if kind == "finite" else \
+        [np.flatnonzero(row) for row in weights]
+    label = list(range(query.obs_size))
+
+    def find(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    for group in groups:
+        for a in group[1:]:
+            label[find(a)] = find(group[0])
+    return [find(a) for a in range(query.obs_size)]
+
+
+def face_grid_tv(query, components, ticks):
+    """Smallest TV to the target over a grid of binary-output channels whose
+    rows are equal within each component."""
+    roots = sorted(set(components))
+    grids = np.meshgrid(*[ticks] * len(roots), indexing="ij")
+    # P(out = 1 | obs = a) at every grid point
+    out1 = [grids[roots.index(root)] for root in components]
+    tv = 0.0
+    for x in range(query.p0.size):
+        p_one = sum(query.obs_channel.rows[x, a] * out1[a] for a in range(query.obs_size))
+        tv = tv + np.abs(query.p0.probs[x] * (1 - p_one) - query.target_joint[x, 0]) \
+            + np.abs(query.p0.probs[x] * p_one - query.target_joint[x, 1])
+    return 0.5 * float(np.min(tv))
+
+
+_WEIGHT_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+def _rows_with_zeros(draw, rows: int, cols: int) -> np.ndarray:
+    raw = np.array([draw(st.lists(_WEIGHT_OR_ZERO, min_size=cols, max_size=cols)
+                         .filter(lambda row: sum(row) > 0)) for _ in range(rows)])
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def queries_with_zeros(draw):
+    sx = draw(st.sampled_from((2, 3)))
+    ys = draw(st.sampled_from((2, 3)))
+    return RegionQuery(p0=Pmf(_rows_with_zeros(draw, 1, sx)[0]),
+                       obs_channel=CondPmf(_rows_with_zeros(draw, sx, sx)),
+                       target=CondPmf(_rows_with_zeros(draw, sx, ys)),
+                       delta=draw(st.floats(0.0, 0.6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(query=queries_with_zeros())
+# per-agent faces of two observed components: a noiseless observation, and
+# a block-diagonal one
+@example(query=RegionQuery(p0=Pmf([0.3, 0.7]), obs_channel=CondPmf(np.eye(2)),
+                           target=CondPmf.binary_flip(0.25), delta=0.0))
+@example(query=RegionQuery(p0=Pmf([0.2, 0.3, 0.5]),
+                           obs_channel=CondPmf([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0],
+                                                [0.0, 0.0, 1.0]]),
+                           target=CondPmf([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]]),
+                           delta=0.01))
+def test_zero_rate_points_lie_on_the_zero_face(query):
+    for kind, solve in SOLVERS:
+        components = zero_rate_components(kind, query)
+        if query.out_size == 2:
+            # the face LP is exact: no grid channel on the face beats it, and
+            # the grid channel nearest its optimum is within step / 2 in TV
+            face_tv, _ = region._closest_channel(query, region._zero_rate_classes(kind, query))
+            step = {1: 1e-3, 2: 4e-3, 3: 2e-2}[len(set(components))]
+            grid_tv = face_grid_tv(query, components, np.linspace(0.0, 1.0, round(1 / step) + 1))
+            assert face_tv <= grid_tv + 1e-12
+            assert grid_tv <= face_tv + step
+        point = solve(query)
+        if not (point.feasible and point.rate == 0.0):
+            continue
+        rows = point.q_star.rows
+        for a, root in enumerate(components):
+            np.testing.assert_array_equal(rows[a], rows[components.index(root)])
+        assert channel_rate(kind, point.q_star, query) <= 1e-12
+        assert point.gap == 0.0
+        assert point.achieved_tv <= query.delta + FEASIBILITY_SLACK
+
+
+class TestWarmStarts:
+    # both lie outside the radius below; the constant channel has rate zero,
+    # so it would win every comparison it entered
+    OUTSIDE = (np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_infeasible_warm_start_is_dropped(self):
+        # whether SLSQP pulls such a start in or not, the returned point must
+        # lie within the radius
+        query = flip_query(delta=0.05)
+        assert min(region._tv_to_target(q, query) for q in self.OUTSIDE) > 0.15
+        for kind, solve in SOLVERS:
+            cold = solve(query)
+            warm = solve(query, extra_starts=list(self.OUTSIDE))
+            assert cold.rate > 0.0
+            assert warm.achieved_tv <= query.delta + FEASIBILITY_SLACK
+            assert warm.rate <= cold.rate + 1e-9
+            assert_certified(warm, query, kind)
+
+    def test_unsolved_infeasible_start_never_returned(self, monkeypatch):
+        # with SLSQP returning its start unchanged, these starts and their
+        # "solutions" all lie outside the radius: only the floor channel is left
+        monkeypatch.setattr(region, "_slsqp", lambda kind, q0, polytope, query: q0)
+        query = flip_query(delta=0.05)
+        floor_tv, floor_q = min_achievable_delta(query)
+        for _, solve in SOLVERS:
+            point = solve(query, extra_starts=list(self.OUTSIDE))
+            np.testing.assert_array_equal(point.q_star.rows, floor_q.rows)
+            assert point.achieved_tv == floor_tv <= query.delta + FEASIBILITY_SLACK
