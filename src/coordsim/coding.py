@@ -207,19 +207,6 @@ class CodebookSpec:
         tail = codeword_block(self, np.arange(max(start, store.shape[2]), stop, dtype=np.int64))
         return np.concatenate([store[:, :, start:stop], _bit_planes(tail, planes)], axis=2)
 
-    def _words(self, flat: np.ndarray) -> np.ndarray:
-        """The codewords at the given flat indices as int64 rows, shape
-        (len(flat), n): those the prefix store holds unpacked in one call,
-        the rest generated."""
-        store = self.__dict__.get("_prefix")
-        held = flat < (0 if store is None else store.shape[2])
-        out = np.empty((flat.size, self.n), dtype=np.int64)
-        if held.any():
-            out[held] = _symbols(store[:, :, flat[held]], self.n)
-        if not held.all():
-            out[~held] = codeword_block(self, flat[~held])
-        return out
-
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
     return rng.derive_key(spec.seed, CODEBOOK_STREAM, spec.agent_id)
@@ -254,16 +241,6 @@ def _bit_planes(seqs: np.ndarray, planes: int) -> np.ndarray:
     np.equal(seqs, np.arange(planes)[:, None, None], out=hot[:, :, :n])
     packed = np.packbits(hot, bitorder="little").view("<u8")
     return packed.reshape(planes, k, words).transpose(0, 2, 1)
-
-
-def _symbols(planes: np.ndarray, n: int) -> np.ndarray:
-    """The length-n sequences whose |Y| - 1 bit planes these are (the
-    inverse of _bit_planes over |Y| symbols): shape (k, n), int64.  A
-    position set in no plane holds the last symbol, |Y| - 1."""
-    last = planes.shape[0]
-    bits = np.unpackbits(np.ascontiguousarray(planes.transpose(2, 0, 1), dtype="<u8")
-                         .view(np.uint8), axis=2, count=n, bitorder="little")
-    return last - np.dot(np.arange(last, 0, -1), bits)
 
 
 class _SchemeConfig:
@@ -454,8 +431,8 @@ def decode_direct(results, specs) -> np.ndarray:
 
     results holds, per trial, every agent's EncodeResult.  A trial emits the
     codeword of its lowest-indexed successful agent; if every encoder
-    failed, agent 0's first codeword.  Each agent's words are read in one
-    unpack from the prefix store its scans have just read them from.
+    failed, agent 0's first codeword.  Each agent's emitted words are
+    generated in one codeword_block call.
     """
     agent = np.zeros(len(results), dtype=np.int64)
     flat = np.zeros(len(results), dtype=np.int64)
@@ -467,7 +444,7 @@ def decode_direct(results, specs) -> np.ndarray:
     words = np.empty((len(results), specs[0].n), dtype=np.int64)
     for l in sorted(set(agent.tolist())):
         rows = agent == l
-        words[rows] = specs[l]._words(flat[rows])
+        words[rows] = codeword_block(specs[l], flat[rows])
     return words
 
 
@@ -858,7 +835,7 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
         ok = [t for t, trial in enumerate(results) if all(r.found for r in trial)]
         failed = np.ones(len(results), dtype=bool)
         failed[ok] = False
-        ys[failed] = specs[0]._words(np.zeros(int(failed.sum()), dtype=np.int64))
+        ys[failed] = codeword_block(specs[0], np.zeros(int(failed.sum()), dtype=np.int64))
         failures = [ErrorCase.B] * len(results)
         if not ok:
             return ys, failures

@@ -154,7 +154,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         # multiprocessing loads only for runs that fan out
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # fork starts every worker at the first submit, so ask for no more
+        # workers than there are blocks
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(blocks)))
         try:
             results = list(pool.map(_run_block, itertools.repeat(cfg),
                                     [b[0] for b in blocks], [b[1] for b in blocks]))

@@ -18,7 +18,7 @@ SplitMix64 finalizer,
 with PHI64 = 0x9E3779B97F4A7C15 (odd, so w -> w * PHI64 is a bijection mod
 2**64).  Uniform doubles in [0, 1) take the top 53 bits of the state:
 u = (h >> 11) * 2**-53.  All arithmetic is mod 2**64, on numpy uint64 arrays
-or, for derive_key's scalar chain, on Python integers.
+and scalars.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV_2_53 = float(2.0**-53)
 _MASK = 2**64 - 1
-_PHI_INT, _MIX1_INT, _MIX2_INT = int(PHI64), int(_MIX1), int(_MIX2)
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -59,33 +58,14 @@ def fold(h: np.ndarray | np.uint64 | int, w: np.ndarray | int) -> np.ndarray | n
         return mix64(h ^ (w * PHI64))
 
 
-def _mix64_int(z: int) -> int:
-    """mix64 of one state in Python integers."""
-    z = (z + _PHI_INT) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
-    return z ^ (z >> 31)
-
-
-def _chain(h: int, path) -> int:
-    """Fold each path word into the state h, in Python integers."""
-    for w in path:
-        w = int(w)
-        if not 0 <= w <= _MASK:
-            raise OverflowError(f"path word {w} out of bounds for uint64")
-        h = _mix64_int(h ^ ((w * _PHI_INT) & _MASK))
-    return h
-
-
 def derive_key(seed: int, *path: int) -> np.uint64:
-    """Chain a seed and a fixed index path into a single 64-bit key.
-
-    Bit-identical to folding each path word with `fold`, but computed in
-    Python integers: a short scalar chain costs less than numpy scalar
-    arithmetic.  A path word outside [0, 2**64) raises OverflowError, as
-    `fold` does.
-    """
-    return np.uint64(_chain(int(seed) & _MASK, path))
+    """Chain a seed and a fixed index path into a single 64-bit key by
+    folding each path word into the seed mod 2**64.  A path word outside
+    [0, 2**64) raises OverflowError, as `fold` does."""
+    h = np.uint64(int(seed) & _MASK)
+    for w in path:
+        h = fold(h, int(w))
+    return h
 
 
 def uniforms(key: np.uint64, indices: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ regenerated independently and in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,19 +37,6 @@ class SourceConfig:
             raise ValueError("L must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    @cached_property
-    def _action_cdf(self) -> np.ndarray:
-        cdf = rng.right_closed_cdf(self.p0.probs)
-        cdf.setflags(write=False)
-        return cdf
-
-    @cached_property
-    def _obs_cdf(self) -> np.ndarray:
-        """One right-closed cdf row per action symbol."""
-        cdf = rng.right_closed_cdf(self.obs_channel.rows)
-        cdf.setflags(write=False)
-        return cdf
 
 
 @dataclass(frozen=True)
@@ -82,7 +68,8 @@ def draw_actions(cfg: SourceConfig, seed: int, trial_index) -> ActionDraw:
     keys = rng.fold(per_trial[..., None], np.arange(cfg.L + 1, dtype=np.uint64))
     u = rng.uniforms(keys[..., None], np.arange(cfg.n, dtype=np.uint64))
 
+    x = rng.categorical(u[..., 0, :], rng.right_closed_cdf(cfg.p0.probs))
     # every observation stream reads the cdf rows of the same actions
-    x = rng.categorical(u[..., 0, :], cfg._action_cdf)
-    xhat = rng.categorical(u[..., 1:, :], cfg._obs_cdf[x][..., None, :, :])
+    obs_cdf = rng.right_closed_cdf(cfg.obs_channel.rows)[x]
+    xhat = rng.categorical(u[..., 1:, :], obs_cdf[..., None, :, :])
     return ActionDraw(x_seq=x, xhat_seqs=xhat)

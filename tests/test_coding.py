@@ -12,7 +12,7 @@ from coordsim import coding, rng
 from coordsim.coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DirectSchemeConfig,
                              EncodeResult, ErrorCase, _bit_planes, _first_unique,
-                             _plane_counts, _symbols, binned_specs, codeword_block,
+                             _plane_counts, binned_specs, codeword_block,
                              decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
@@ -262,12 +262,12 @@ class TestScanPrefixStore:
                 planes = spec._planes(start, stop, reach)
                 assert planes.dtype == np.uint64
                 assert planes.shape == (sy - 1, -(-n // 64), stop - start)
-                assert np.array_equal(_symbols(planes, n),
-                                      codeword_block(spec, np.arange(start, stop)))
+                assert np.array_equal(
+                    planes, _bit_planes(codeword_block(spec, np.arange(start, stop)), sy - 1))
         stored = vars(spec).get("_prefix", np.empty((sy - 1, -(-n // 64), 0), np.uint64))
         assert stored.shape[2] <= cap_rows
-        assert np.array_equal(_symbols(stored, n),
-                              codeword_block(spec, np.arange(stored.shape[2])))
+        assert np.array_equal(
+            stored, _bit_planes(codeword_block(spec, np.arange(stored.shape[2])), sy - 1))
 
     def test_store_is_generated_once_and_not_a_field(self, monkeypatch):
         spec = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=1,
@@ -296,7 +296,7 @@ class TestScanPrefixStore:
         planes = spec._planes(0, 4000, 4000)
         assert planes.dtype == np.uint64 and planes.shape == (2, 1, 4000)
         assert sum(generated) == 4000
-        assert np.array_equal(_symbols(planes, 12), original(spec, np.arange(4000)))
+        assert np.array_equal(planes, _bit_planes(original(spec, np.arange(4000)), 2))
         fresh = dataclasses.replace(spec)
         assert fresh == spec and repr(fresh) == repr(spec)
         assert "_prefix" in vars(spec) and "_prefix" not in vars(fresh)
@@ -764,9 +764,9 @@ class TestTrials:
         monkeypatch.setattr(coding, "codeword_block", counting)
         [outcome] = run_binned_trial(src, cfg, specs, 8, 0)
         assert outcome.error_case in (ErrorCase.A, ErrorCase.B)
-        # one single-word book per agent, read by its scan and then by the
-        # fallback from the store
-        assert generated == [1, 1]
+        # one single-word book per agent, generated by its scan, and the
+        # fallback's word generated once more
+        assert generated == [1, 1, 1]
         assert outcome.y_seq.dtype == np.int64
         assert np.array_equal(outcome.y_seq, codeword_block(specs[0], [0])[0])
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -77,6 +78,30 @@ class TestRunExperiment:
         quad = strip_timing(run_experiment(cfg, workers=4))
         assert solo == quad
 
+    def test_pool_asks_for_no_more_workers_than_blocks(self, monkeypatch):
+        # a fake pool that records its size and runs its blocks in this
+        # process, so no worker process starts
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for trials, workers, blocks in ((5, 32, 5), (60, 2, 8), (3, 3, 3)):
+            cfg = direct_config(trials=trials)
+            assert len(_split_blocks(trials, workers)) == blocks
+            assert strip_timing(run_experiment(cfg, workers=workers)) == \
+                strip_timing(run_experiment(cfg, workers=1))
+            assert asked.pop() == min(workers, blocks)
+        assert not asked
+
     @settings(max_examples=5, deadline=None, derandomize=True)
     @given(scheme=st.sampled_from(("direct", "binned")), trials=st.integers(1, 23),
            seed=st.integers(0, 2**31 - 1))
@@ -118,10 +143,12 @@ class TestRunExperiment:
             return result
 
         monkeypatch.setattr(coding, "encode_direct", recording_encode)
-        stats = run_experiment(direct_config(n=40, L=2, trials=60, rate=0.1, budget=900))
-        assert stats.budget_hits > 0 and set(costs) == {0, 1}
-        # the emitted words are read from the stores the scans grew
-        assert sum(generated) <= sum(costs.values())
+        cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
+        stats = run_experiment(cfg)
+        assert stats.budget_hits > 0 and costs == {0: 900, 1: 900}
+        # the scans generate each book's store once, up to the longest scan,
+        # and the decoder generates each trial's emitted word
+        assert sum(generated) == sum(costs.values()) + cfg.trials
 
     def test_blocks_in_one_process_share_the_prefixes(self, monkeypatch):
         cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
@@ -135,8 +162,9 @@ class TestRunExperiment:
             totals.append(sum(generated))
         assert len(_split_blocks(cfg.trials, 2)) == 8
         assert rows[0] == rows[1]
-        # both agents' scans reach the budget, so each book's store is 900 rows
-        assert totals == [2 * 900, 2 * 900]
+        # both agents' scans reach the budget, so each book's store is 900
+        # rows; the decoder generates each of the 60 emitted words
+        assert totals == [2 * 900 + 60, 2 * 900 + 60]
 
     def test_decode_direct_emits_the_stored_word_as_int64(self, monkeypatch):
         cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
@@ -150,13 +178,14 @@ class TestRunExperiment:
         for block in (results, [[failed, failed]] * 40):
             before = sum(generated)
             ys = decode_direct(block, specs)
-            assert sum(generated) == before
+            # one generated word per trial, whatever the store holds
+            assert sum(generated) == before + 40
             assert ys.dtype == np.int64 and ys.shape == (40, cfg.source.n)
             for y, trial in zip(ys, block):
                 spec, w = next(((s, r.w) for s, r in zip(specs, trial) if r.found),
                                (specs[0], 0))
                 assert np.array_equal(y, codeword_block(spec, [w])[0])
-        # a word the store does not hold is generated alone
+        # a word no scan has reached is generated alone
         fresh = direct_specs(cfg.scheme, cfg.source, cfg.seed)
         generated.clear()
         y = decode_direct([[failed, EncodeResult(w=77, v=0, found=True, search_cost=78)]], fresh)
