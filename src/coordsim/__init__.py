@@ -27,8 +27,9 @@ from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
 
 __version__ = "0.1.0"
 
-# The region solver is the only user of scipy.optimize, whose import costs
-# more than most simulate runs; its names load on first use (PEP 562).
+# Only the region commands and a solver-driven simulate use the region
+# solver, so a pinned-channel run does not pay its import: its names load
+# on first use (PEP 562).
 _REGION_NAMES = frozenset((
     "RegionQuery", "RegionPoint", "CurvePoint", "min_achievable_delta",
     "min_per_agent_rate", "min_finite_agent_rate", "rate_delta_curve"))

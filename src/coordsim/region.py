@@ -16,18 +16,19 @@ convex in q, so a local minimum over it is global.  The fidelity floor (the
 smallest achievable delta) is one linear program over that polytope.  So is
 rate zero: a rate is zero exactly where the rows of q agree within classes
 of observation symbols, and the channel on that face closest to the target
-decides it.  Otherwise SLSQP runs from the floor channel and any warm start,
-and the best point within the radius carries a Frank-Wolfe duality gap
-(Frank & Wolfe 1956; Jaggi, ICML 2013): by convexity,
+decides it.  Otherwise a log barrier with Newton steps (Boyd & Vandenberghe,
+Convex Optimization, 2004, section 11.3) runs from a point strictly inside
+the ball, and the best point within the radius carries a Frank-Wolfe
+duality gap (Frank & Wolfe 1956; Jaggi, ICML 2013): by convexity,
 
     rate - optimum  <=  <grad f(q*), q*> - min over the polytope of <grad f(q*), q>,
 
 and the right-hand side is one linear program.  A gap of at most OPTIMUM_TOL
-certifies the documented tolerance on any alphabet.  Both objectives are
-sums over output symbols of convex, positively homogeneous terms, so the
-bound stays valid where q* has zero entries (the gradient floors them at
-1e-18); it can be loose, though, when the optimum leaves an output symbol
-unused.  Every linear program is solved exactly with HiGHS.
+certifies the documented tolerance on any alphabet.  The barrier's point has
+no zero entry, so the gradient prices an output symbol the optimum leaves
+unused, and near the central path the gap is about the barrier's own
+duality gap.  Every linear program is solved exactly by `linprog`, a dense
+two-phase simplex.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import LinearConstraint, linprog, minimize
 
 from .probkit import (CondPmf, Pmf, conditional_mutual_information,
                       mutual_information, tv_distance)
 
 FEASIBILITY_SLACK = 1e-9
 OPTIMUM_TOL = 1e-4
+_PIVOT_TOL = 1e-9
+_BARRIER_GAP = 1e-10       # m / t (m inequalities) at which the barrier stops
+_BARRIER_GROWTH = 50.0     # t's factor between centerings
+_NEWTON_TOL = 1e-6         # half the squared Newton decrement that ends a centering
+_NEWTON_STEPS = 300        # cap per barrier solve; 5,000 corpus points took at most 80
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,80 @@ class CurvePoint:
     finite: RegionPoint
 
 
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    basis[row] = col
+
+
+def _simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> None:
+    """Pivot to an optimal basis by Bland's rule: the lowest-index column
+    with a negative reduced cost enters, and of the rows tied in the ratio
+    test the one whose basic variable has the lowest index leaves.  No
+    basis repeats, so the loop ends."""
+    while True:
+        entering = np.flatnonzero(tableau[-1, :n_cols] < -_PIVOT_TOL)
+        if entering.size == 0:
+            return
+        col = entering[0]
+        rows = np.flatnonzero(tableau[:-1, col] > _PIVOT_TOL)
+        if rows.size == 0:
+            raise RuntimeError("linear program is unbounded")
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        tied = rows[ratios <= ratios.min() + 1e-12]   # tied up to rounding
+        _pivot(tableau, basis, tied[np.argmin(basis[tied])], col)
+
+
+def linprog(c, A_ub, b_ub, A_eq, b_eq) -> tuple[np.ndarray, float]:
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq and x >= 0;
+    returns the optimal x and c @ x.
+
+    A dense two-phase simplex.  Every inequality gets a slack, and a row
+    whose slack cannot start the basis (an equality, or a negative
+    right-hand side) gets an artificial variable.  Phase 1 minimizes the
+    artificials' sum, then pivots each artificial still basic (at zero) out,
+    or drops its row as redundant when no other column can replace it.
+    Phase 2 minimizes c from that basis.
+    """
+    m_ub, n = A_ub.shape
+    n_real = n + m_ub
+    rows = np.vstack([np.hstack([A_ub, np.eye(m_ub)]),
+                      np.hstack([A_eq, np.zeros((len(b_eq), m_ub))])])
+    rhs = np.concatenate([b_ub, b_eq])
+    flip = rhs < 0
+    rows[flip] *= -1.0
+    rhs[flip] *= -1.0
+    artificial = np.flatnonzero(np.append(flip[:m_ub], np.ones(len(b_eq), dtype=bool)))
+    basis = np.append(np.arange(n, n_real), np.zeros(len(b_eq), dtype=int))
+    basis[artificial] = n_real + np.arange(artificial.size)
+    tableau = np.zeros((len(rhs) + 1, n_real + artificial.size + 1))
+    tableau[:-1, :n_real] = rows
+    tableau[artificial, n_real + np.arange(artificial.size)] = 1.0
+    tableau[:-1, -1] = rhs
+    tableau[-1, :n_real] = -rows[artificial].sum(axis=0)
+    tableau[-1, -1] = -rhs[artificial].sum()
+    _simplex(tableau, basis, n_real)
+    if tableau[-1, -1] < -_PIVOT_TOL:
+        raise RuntimeError("linear program is infeasible")
+    keep = np.ones(len(rhs) + 1, dtype=bool)
+    for row in np.flatnonzero(basis >= n_real):
+        replacements = np.flatnonzero(np.abs(tableau[row, :n_real]) > _PIVOT_TOL)
+        if replacements.size:
+            _pivot(tableau, basis, row, replacements[0])
+        else:
+            keep[row] = False
+    tableau = tableau[keep][:, np.r_[:n_real, -1]]
+    basis = basis[keep[:-1]]
+    cost = np.concatenate([c, np.zeros(m_ub)])
+    tableau[-1] = np.append(cost, 0.0) - cost[basis] @ tableau[:-1]
+    _simplex(tableau, basis, n_real)
+    x = np.zeros(n_real)
+    x[basis] = tableau[:-1, -1]
+    return x[:n], float(c @ x[:n])
+
+
 def _obs_marginal(query: RegionQuery) -> np.ndarray:
     return query.p0.probs @ query.obs_channel.rows
 
@@ -111,12 +190,13 @@ def _tv_to_target(q_arr: np.ndarray, query: RegionQuery) -> float:
 
 def _lifted_polytope(query: RegionQuery, radius: float | None = None,
                      classes: np.ndarray | None = None) -> dict:
-    """Feasible set over x = (q, s) as linprog keyword arguments.
+    """Feasible set over x = (q, s) >= 0 as linprog keyword arguments.
 
-    q is the flattened channel, whose rows sum to one; s >= |J q - t| holds
-    cell by cell, so TV(q) <= sum(s) / 2.  Given a radius, sum(s) <= 2 radius
-    keeps TV(q) within it.  Given a one-hot (symbol -> class) map, q holds
-    one row per class and the channel is classes @ q.
+    q is the flattened channel, whose rows sum to one (so q <= 1 follows);
+    s >= |J q - t| holds cell by cell, so TV(q) <= sum(s) / 2.  Given a
+    radius, sum(s) <= 2 radius keeps TV(q) within it.  Given a one-hot
+    (symbol -> class) map, q holds one row per class and the channel is
+    classes @ q.
     """
     weights = query.p0.probs[:, None] * query.obs_channel.rows  # (x, a)
     if classes is not None:
@@ -134,8 +214,7 @@ def _lifted_polytope(query: RegionQuery, radius: float | None = None,
         b_ub = np.append(b_ub, 2.0 * radius)
     a_eq = np.hstack([np.kron(np.eye(a_size), np.ones((1, b_size))),
                       np.zeros((a_size, n_s))])
-    return {"A_ub": a_ub, "b_ub": b_ub, "A_eq": a_eq, "b_eq": np.ones(a_size),
-            "bounds": [(0.0, 1.0)] * n_q + [(0.0, None)] * n_s}
+    return {"A_ub": a_ub, "b_ub": b_ub, "A_eq": a_eq, "b_eq": np.ones(a_size)}
 
 
 def _closest_channel(query: RegionQuery, classes: np.ndarray) -> tuple[float, np.ndarray]:
@@ -143,11 +222,9 @@ def _closest_channel(query: RegionQuery, classes: np.ndarray) -> tuple[float, np
     TV is piecewise linear in r, so this is one linear program."""
     polytope = _lifted_polytope(query, classes=classes)
     n_r = classes.shape[1] * query.out_size
-    c = np.concatenate([np.zeros(n_r), 0.5 * np.ones(len(polytope["bounds"]) - n_r)])
-    res = linprog(c, method="highs", **polytope)
-    if not res.success:
-        raise RuntimeError(f"closest-channel LP failed: {res.message}")
-    rows = np.clip(res.x[:n_r].reshape(-1, query.out_size), 0.0, None)
+    c = np.concatenate([np.zeros(n_r), np.full(polytope["A_eq"].shape[1] - n_r, 0.5)])
+    x, _ = linprog(c, **polytope)
+    rows = np.clip(x[:n_r].reshape(-1, query.out_size), 0.0, None)
     q_arr = classes @ (rows / rows.sum(axis=1, keepdims=True))
     return _tv_to_target(q_arr, query), q_arr
 
@@ -196,31 +273,100 @@ def _objective_batch(kind: str, q_batch: np.ndarray, query: RegionQuery) -> np.n
     return conditional_mutual_information(t)
 
 
-def _slsqp(kind: str, q0: np.ndarray, polytope: dict,
-           query: RegionQuery) -> np.ndarray:
-    """SLSQP over the lifted polytope from q0; returns the channel part,
-    clipped and row-normalized."""
-    shape = q0.shape
-    n_q = q0.size
-    s0 = np.abs(_induced_joint(q0, query) - query.target_joint).reshape(-1)
+def _barrier(kind: str, q_floor: np.ndarray, query: RegionQuery,
+             radius: float) -> np.ndarray:
+    """Minimize the objective over the lifted polytope of the radius by a log
+    barrier: minimize t f(q) - sum(log(h - G x)) for growing t, each time by
+    Newton steps in the null space of the row sums, so the rows stay
+    stochastic.  Starts from the floor channel mixed with the uniform
+    channel, strictly inside the ball (the floor must lie below the radius),
+    and returns the channel part, row-normalized."""
+    polytope = _lifted_polytope(query, radius)
+    a_size, b_size = q_floor.shape
+    n_q = q_floor.size
+    n_s = polytope["A_ub"].shape[1] - n_q
+    # G x <= h: the polytope's inequalities, then q >= 0
+    g_mat = np.vstack([polytope["A_ub"], -np.eye(n_q, n_q + n_s)])
+    h = np.append(polytope["b_ub"], np.zeros(n_q))
+    # null space of the row sums: within a row of q, e_j - e_last
+    n_free = a_size * (b_size - 1)
+    z = np.zeros((n_q + n_s, n_free + n_s))
+    z[:n_q, :n_free] = np.kron(np.eye(a_size), np.vstack(
+        [np.eye(b_size - 1), -np.ones((1, b_size - 1))]))
+    z[n_q:, n_free:] = np.eye(n_s)
+    g_z, z_q = g_mat @ z, z[:n_q]
 
-    def objective(x):
-        return float(_objective_batch(kind, x[:n_q].reshape(shape)[None], query)[0])
+    # f = sum w(x, a) q(b|a) log(q(b|a) m(x) / j(x, b)), j = w @ q and m the
+    # row masses of w; its Hessian is block-diagonal over output symbols
+    weights = query.p0.probs[:, None] * query.obs_channel.rows  # (x, a)
+    if kind == "finite":
+        weights = weights.sum(axis=0, keepdims=True)
+    weights = weights[weights.sum(axis=1) > 0]
+    mass = weights.sum(axis=1)[:, None]
+    p_obs = weights.sum(axis=0)[:, None]
 
-    def jacobian(x):
-        grad = np.zeros_like(x)
-        grad[:n_q] = _gradient(kind, x[:n_q].reshape(shape), query).reshape(-1)
-        return grad
+    def objective(q):
+        j = weights @ q
+        return float(np.sum(p_obs * q * np.log(q)) - np.sum(j * np.log(j / mass)))
 
-    constraints = [
-        LinearConstraint(polytope["A_ub"], -np.inf, polytope["b_ub"]),
-        LinearConstraint(polytope["A_eq"], polytope["b_eq"], polytope["b_eq"]),
-    ]
-    res = minimize(objective, np.concatenate([q0.reshape(-1), s0]), jac=jacobian,
-                   method="SLSQP", bounds=polytope["bounds"], constraints=constraints,
-                   options={"maxiter": 500, "ftol": 1e-14})
-    q_arr = np.clip(res.x[:n_q].reshape(shape), 0.0, None)
-    return q_arr / q_arr.sum(axis=1, keepdims=True)
+    # TV is convex in q, so the mix lies at most halfway from the floor to
+    # the radius
+    floor_tv = _tv_to_target(q_floor, query)
+    room = radius - floor_tv
+    mix = 0.5 * room / max(_tv_to_target(np.full_like(q_floor, 1.0 / b_size), query)
+                           - floor_tv, room)
+    q = (1.0 - mix) * q_floor + mix / b_size
+    gaps = np.abs(_induced_joint(q, query) - query.target_joint).reshape(-1)
+    x = np.concatenate([q.reshape(-1), gaps + (radius - 0.5 * gaps.sum()) / n_s])
+    if not np.all(h - g_mat @ x > 0):
+        return q_floor   # the floor lies within rounding of the radius
+    t, last = len(h) / max(objective(q), _BARRIER_GAP), math.inf
+    for _ in range(_NEWTON_STEPS):
+        q = x[:n_q].reshape(a_size, b_size)
+        inv_r = 1.0 / (h - g_mat @ x)
+        j = weights @ q
+        grad_f = p_obs * np.log(q) - weights.T @ np.log(j / mass)
+        hess_f = -np.einsum("xa,xc,xb,bd->abcd", weights, weights, 1.0 / j,
+                            np.eye(b_size)).reshape(n_q, n_q)
+        hess_f[np.diag_indices(n_q)] += (p_obs / q).reshape(-1)
+        grad = t * z_q.T @ grad_f.reshape(-1) + g_z.T @ inv_r
+        hess = t * z_q.T @ hess_f @ z_q + (g_z.T * inv_r ** 2) @ g_z
+        scale = 1.0 / np.sqrt(np.diag(hess))
+        try:
+            step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        except np.linalg.LinAlgError:
+            break   # singular to working precision: no step is resolvable
+        decrement = -float(grad @ step)
+        if decrement <= 2.0 * _NEWTON_TOL:
+            if len(h) / t <= _BARRIER_GAP:
+                break
+            t *= _BARRIER_GROWTH
+            last = math.inf
+            continue
+        if 0.25 > decrement >= last:
+            break   # Newton stalls: the center is resolved to working precision
+        last = decrement
+        rise = g_z @ step
+        ahead = rise > 0
+        alpha = min(1.0, 0.99 * float(np.min(1.0 / (inv_r[ahead] * rise[ahead]),
+                                             initial=np.inf)))
+        # near the center the full step is taken without a merit test:
+        # there the decrease is below the merit's rounding at large t
+        if decrement >= 0.25:
+            merit = t * objective(q) + float(np.sum(np.log(inv_r)))
+        for _ in range(60):
+            trial = x + alpha * (z @ step)
+            slack = h - g_mat @ trial
+            if np.all(slack > 0) and (decrement < 0.25 or t * objective(
+                    trial[:n_q].reshape(a_size, b_size)) - float(np.sum(np.log(slack)))
+                    <= merit - 0.25 * alpha * decrement):
+                break
+            alpha *= 0.5
+        else:
+            break
+        x = trial
+    q = x[:n_q].reshape(a_size, b_size)
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def _duality_gap(kind: str, q_arr: np.ndarray, polytope: dict,
@@ -228,11 +374,9 @@ def _duality_gap(kind: str, q_arr: np.ndarray, polytope: dict,
     """Frank-Wolfe gap <g, q> - min over the polytope of <g, q'>, g the
     objective's gradient at q; by convexity it bounds f(q) - min f."""
     grad = _gradient(kind, q_arr, query).reshape(-1)
-    c = np.concatenate([grad, np.zeros(len(polytope["bounds"]) - grad.size)])
-    res = linprog(c, method="highs", **polytope)
-    if not res.success:
-        raise RuntimeError(f"duality-gap LP failed: {res.message}")
-    return max(0.0, float(grad @ q_arr.reshape(-1)) - float(res.fun))
+    c = np.concatenate([grad, np.zeros(polytope["A_eq"].shape[1] - grad.size)])
+    _, lowest = linprog(c, **polytope)
+    return max(0.0, float(grad @ q_arr.reshape(-1)) - lowest)
 
 
 def _solve(kind: str, query: RegionQuery,
@@ -250,13 +394,14 @@ def _solve(kind: str, query: RegionQuery,
         return RegionPoint(rate=0.0, q_star=CondPmf(q_face), achieved_tv=face_tv,
                            feasible=True, gap=0.0)
 
-    # SLSQP solves within delta, leaving the slack as margin for its own
-    # tolerance; a point outside the radius (never the floor channel) is dropped.
+    # The barrier solves within half the slack, leaving the rest as margin
+    # for rounding; a point outside the radius (never the floor channel) is
+    # dropped, and the warm starts compete as they are.
     starts = [q_tv.rows, *(extra_starts or ())]
-    polytope = _lifted_polytope(query, delta)
-    solved = [_slsqp(kind, q0, polytope, query) for q0 in starts]
-    candidates = np.array([q for q in starts + solved
-                           if _tv_to_target(q, query) <= radius])
+    inner = delta + 0.5 * FEASIBILITY_SLACK
+    if delta_min < inner:
+        starts.append(_barrier(kind, q_tv.rows, query, inner))
+    candidates = np.array([q for q in starts if _tv_to_target(q, query) <= radius])
     values = _objective_batch(kind, candidates, query)
     best = int(np.argmin(values))
     return RegionPoint(rate=float(values[best]), q_star=CondPmf(candidates[best]),

@@ -240,7 +240,7 @@ def parse_runspec(document: dict) -> RunSpec:
             _number(solver["seed"], "region.solver.seed", integer=True)
 
     if delta_grid is not None or aux is None:
-        # this run will call the solver: pay the scipy.optimize import in set-up
+        # this run will call the solver: pay its import in set-up
         from . import region  # noqa: F401
     return RunSpec(
         p0=Pmf(p0 / p0.sum()), obs_channel=obs, target=target, scheme_kind=kind,

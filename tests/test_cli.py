@@ -424,23 +424,38 @@ def pinned_run_script(spec_path: str, out_path: str, modules: set) -> str:
 
 
 def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
-    # numpy and scipy are the only runtime dependencies; a fresh process
-    # shows what importing, loading a spec and simulating pull in
+    # numpy is the only runtime dependency; a fresh process shows what
+    # importing, loading a spec and simulating pull in
     spec_path = write_spec(tmp_path, base_spec())
     script = pinned_run_script(spec_path, str(tmp_path / "out.csv"), {"jsonschema", "mpmath"})
     assert fresh_python(script) == "[]\n"
 
 
 def test_pinned_channel_run_loads_neither_the_solver_nor_a_process_pool(tmp_path):
-    # scipy.optimize serves only the region solver, a one-worker run starts
-    # no process pool, and the TV quantiles are taken without np.quantile,
-    # whose np.unique imports numpy.ma
+    # the region solver loads only where a run uses it, a one-worker run
+    # starts no process pool, and the TV quantiles are taken without
+    # np.quantile, whose np.unique imports numpy.ma
     document = base_spec()
     del document["region"]
     spec_path = write_spec(tmp_path, document)
     script = pinned_run_script(spec_path, str(tmp_path / "out.csv"),
-                               {"scipy.optimize", "concurrent.futures.process", "numpy.ma"})
+                               {"coordsim.region", "concurrent.futures.process", "numpy.ma"})
     assert fresh_python(script) == "[]\n"
+
+
+def test_solver_commands_never_import_scipy(tmp_path):
+    # the region engine is numpy only: neither `coordsim region` nor a
+    # solver-driven simulate loads any scipy module
+    document = base_spec()
+    del document["scheme"]["aux_channel"]
+    spec_path = write_spec(tmp_path, document)
+    script = ("import sys\n"
+              "from coordsim import cli\n"
+              f"assert cli.cmd_region({spec_path!r}, {str(tmp_path / 'region.csv')!r}) == 0\n"
+              f"assert cli.cmd_simulate({spec_path!r}, {str(tmp_path / 'sim.csv')!r}) == 0\n"
+              "assert 'coordsim.region' in sys.modules\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert fresh_python(script).splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("region, aux_channel, solver_loaded", [
@@ -468,8 +483,9 @@ def test_spec_loading_imports_the_solver_iff_the_run_uses_it(tmp_path, region, a
 
 # Two 3x3 queries (p0, observation and target rows from Dirichlet(2)) with a
 # radius below the fidelity floor, one where the constraint binds and one
-# that admits rate zero.  Many channels tie at rate zero; which one SLSQP
-# returned used to depend on the BLAS thread count.
+# that admits rate zero.  Many channels tie at rate zero; which one the
+# solver returned, and the last bits of a positive-rate channel, used to
+# depend on the BLAS thread count.
 THREAD_QUERIES = {
     "a": {"p0": [0.12213503559681753, 0.45402545595261606, 0.4238395084505664],
           "obs_channel": [[0.429789689136289, 0.14517899165642348, 0.42503131920728754],
@@ -492,27 +508,33 @@ THREAD_QUERIES = {
 
 @pytest.mark.parametrize("name", sorted(THREAD_QUERIES))
 def test_zero_rate_outputs_independent_of_blas_threads(tmp_path, name):
-    # a solver-driven simulate at the zero-rate radius draws its codebooks
-    # from the region solver's channel, so both CSVs must match byte for byte
+    # a solver-driven simulate at the positive-rate and zero-rate radii draws
+    # its codebooks from the region solver's channels, so both CSVs must
+    # match byte for byte
     query = THREAD_QUERIES[name]
     document = base_spec()
     document["alphabets"] = {"x_size": 3, "y_size": 3}
     document["source"] = {"p0": query["p0"], "obs_channel": query["obs_channel"]}
     document["target"] = {"p_y_given_x": query["target"]}
     del document["scheme"]["aux_channel"]
-    document["experiment"].update(n_list=[12], trials=20, delta_list=query["delta_grid"][2:])
+    document["experiment"].update(n_list=[12], trials=20, delta_list=query["delta_grid"][1:])
     document["region"]["delta_grid"] = query["delta_grid"]
     spec_path = write_spec(tmp_path, document)
     outputs = {}
     for threads in ("1", "2"):
         region_out, simulate_out = tmp_path / f"region{threads}.csv", tmp_path / f"sim{threads}.csv"
-        fresh_python("from coordsim import cli\n"
-                     f"assert cli.main(['region', '--spec', {spec_path!r}, "
-                     f"'--out', {str(region_out)!r}]) == 0\n"
-                     f"assert cli.main(['simulate', '--spec', {spec_path!r}, "
-                     f"'--out', {str(simulate_out)!r}]) == 0\n",
-                     OPENBLAS_NUM_THREADS=threads)
-        outputs[threads] = (region_out.read_bytes(), simulate_out.read_bytes())
+        # the positive-rate channels' bytes, beside both CSVs
+        channels = fresh_python(
+            "from coordsim import cli, region\n"
+            f"assert cli.main(['region', '--spec', {spec_path!r}, "
+            f"'--out', {str(region_out)!r}]) == 0\n"
+            f"assert cli.main(['simulate', '--spec', {spec_path!r}, "
+            f"'--out', {str(simulate_out)!r}]) == 0\n"
+            f"query = cli.load_runspec({spec_path!r}).region_query({query['delta_grid'][1]!r})\n"
+            "for solve in (region.min_per_agent_rate, region.min_finite_agent_rate):\n"
+            "    print(solve(query).q_star.rows.tobytes().hex())\n",
+            OPENBLAS_NUM_THREADS=threads).splitlines()[-2:]
+        outputs[threads] = (region_out.read_bytes(), simulate_out.read_bytes(), channels)
     assert outputs["1"] == outputs["2"]
     zero_row = outputs["1"][0].decode().splitlines()[-1].split(",")
     assert zero_row[1:3] == ["0", "0"]

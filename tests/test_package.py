@@ -18,7 +18,7 @@ def test_every_exported_name_resolves_once():
 
 
 def test_region_names_resolve_on_first_use():
-    # `import coordsim` leaves the solver (and scipy.optimize) unloaded
+    # `import coordsim` leaves the solver unloaded
     script = ("import sys\n"
               "import coordsim\n"
               "assert 'coordsim.region' not in sys.modules\n"

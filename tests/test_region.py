@@ -179,6 +179,18 @@ class TestConstrainedMinima:
         assert per.rate == pytest.approx(channel_rate("per_agent", q_true, query), abs=1e-6)
         assert per.rate <= fin.rate + 1e-10
 
+    def test_radius_within_rounding_of_the_floor(self):
+        # the barrier's ball (half the slack past delta) holds the floor by a
+        # few ulps: no interior point is representable, and none is divided by
+        query = flip_query(obs_flip=0.2, target_flip=0.0)
+        floor, _ = min_achievable_delta(query)
+        delta = floor - 0.5 * FEASIBILITY_SLACK
+        for _ in range(6):
+            delta = float(np.nextafter(delta, 1.0))
+            thin = dataclasses.replace(query, delta=delta)
+            for kind, solve in SOLVERS:
+                assert_certified(solve(thin), thin, kind)
+
 
 class TestRateDeltaCurve:
     def test_single_point_grid(self):
@@ -212,7 +224,7 @@ class TestQueryValidation:
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_delta_rejected(self, delta):
-        # unrefused, NaN reaches linprog's b_ub and inf warns inside scipy
+        # unrefused, NaN or inf would reach linprog's b_ub
         with pytest.raises(ValueError, match="delta"):
             flip_query(delta=delta)
 
@@ -277,26 +289,39 @@ class TestTernaryCertificate:
         assert feasible == 54
 
 
-_WEIGHT = st.floats(0.05, 1.0)
+def test_optimum_leaving_an_output_symbol_unused_is_certified():
+    # the optimum leaves the third output symbol (all but) unused; a
+    # gradient taken where that column is exactly zero prices it at zero,
+    # and the gaps came out as 0.150 (per-agent) and 0.621 (finite)
+    query = RegionQuery(p0=Pmf([0.56, 0.44]),
+                        obs_channel=CondPmf([[0.63, 0.37], [0.13, 0.87]]),
+                        target=CondPmf([[0.36, 0.64, 0.0], [0.65, 0.22, 0.13]]), delta=0.12)
+    rates = {"per_agent": 0.0333338022, "finite": 0.0442754715}
+    for kind, solve in SOLVERS:
+        point = solve(query)
+        assert point.q_star.rows[:, 2].max() < 1e-9
+        assert point.rate == pytest.approx(rates[kind], abs=1e-8)
+        assert_certified(point, query, kind)
 
 
-def _stochastic_rows(draw, rows: int, cols: int) -> np.ndarray:
-    raw = np.array(draw(st.lists(st.lists(_WEIGHT, min_size=cols, max_size=cols),
-                                 min_size=rows, max_size=rows)))
+_WEIGHT_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+def _rows_with_zeros(draw, rows: int, cols: int) -> np.ndarray:
+    raw = np.array([draw(st.lists(_WEIGHT_OR_ZERO, min_size=cols, max_size=cols)
+                         .filter(lambda row: sum(row) > 0)) for _ in range(rows)])
     return raw / raw.sum(axis=1, keepdims=True)
 
 
 @st.composite
 def small_queries(draw):
-    """Binary or ternary source with a 2- or 3-symbol output.  Entries stay
-    away from zero: with zero entries an optimum can leave an output symbol
-    unused, where the gradient's linearization is loose and the gap, though
-    still a valid bound, can exceed OPTIMUM_TOL."""
+    """Binary or ternary source with a 2- or 3-symbol output.  Entries may
+    be zero, so an optimum can leave an output symbol unused."""
     sx = draw(st.sampled_from((2, 3)))
     ys = draw(st.sampled_from((2, 3)))
-    return RegionQuery(p0=Pmf(_stochastic_rows(draw, 1, sx)[0]),
-                       obs_channel=CondPmf(_stochastic_rows(draw, sx, sx)),
-                       target=CondPmf(_stochastic_rows(draw, sx, ys)))
+    return RegionQuery(p0=Pmf(_rows_with_zeros(draw, 1, sx)[0]),
+                       obs_channel=CondPmf(_rows_with_zeros(draw, sx, sx)),
+                       target=CondPmf(_rows_with_zeros(draw, sx, ys)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -352,15 +377,6 @@ def face_grid_tv(query, components, ticks):
     return 0.5 * float(np.min(tv))
 
 
-_WEIGHT_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-
-
-def _rows_with_zeros(draw, rows: int, cols: int) -> np.ndarray:
-    raw = np.array([draw(st.lists(_WEIGHT_OR_ZERO, min_size=cols, max_size=cols)
-                         .filter(lambda row: sum(row) > 0)) for _ in range(rows)])
-    return raw / raw.sum(axis=1, keepdims=True)
-
-
 @st.composite
 def queries_with_zeros(draw):
     sx = draw(st.sampled_from((2, 3)))
@@ -404,14 +420,50 @@ def test_zero_rate_points_lie_on_the_zero_face(query):
         assert point.achieved_tv <= query.delta + FEASIBILITY_SLACK
 
 
+TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def test_solver_lps_match_highs():
+    # HiGHS, where scipy is installed, is an independent oracle for every
+    # linear program the solver poses: the floor, the zero-rate face and the
+    # duality gap
+    optimize = pytest.importorskip("scipy.optimize")
+    simplex = region.linprog
+    posed = []
+
+    def recording(c, **polytope):
+        x, value = simplex(c, **polytope)
+        posed.append((c, polytope, value))
+        return x, value
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(query=queries_with_zeros(), above_floor=st.floats(0.0, 0.1))
+    def check(query, above_floor):
+        posed.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(region, "linprog", recording)
+            # radii just above the floor keep most rates positive
+            floor, _ = min_achievable_delta(query)
+            for _, solve in SOLVERS:
+                solve(dataclasses.replace(query, delta=floor + above_floor))
+        for c, polytope, value in posed:
+            # at its default 1e-7 feasibility tolerance HiGHS undercuts a
+            # gap LP over a 1e-9 ball by 2e-8
+            oracle = optimize.linprog(c, method="highs", options=TIGHT_HIGHS, **polytope)
+            assert oracle.status == 0
+            assert value == pytest.approx(oracle.fun, abs=1e-9)
+
+    check()
+
+
 class TestWarmStarts:
     # both lie outside the radius below; the constant channel has rate zero,
     # so it would win every comparison it entered
     OUTSIDE = (np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_infeasible_warm_start_is_dropped(self):
-        # whether SLSQP pulls such a start in or not, the returned point must
-        # lie within the radius
+        # warm starts only compete with the barrier's point, so these two
+        # must be dropped: the returned point lies within the radius
         query = flip_query(delta=0.05)
         assert min(region._tv_to_target(q, query) for q in self.OUTSIDE) > 0.15
         for kind, solve in SOLVERS:
@@ -423,9 +475,10 @@ class TestWarmStarts:
             assert_certified(warm, query, kind)
 
     def test_unsolved_infeasible_start_never_returned(self, monkeypatch):
-        # with SLSQP returning its start unchanged, these starts and their
-        # "solutions" all lie outside the radius: only the floor channel is left
-        monkeypatch.setattr(region, "_slsqp", lambda kind, q0, polytope, query: q0)
+        # with the barrier returning a channel outside the radius, it and the
+        # warm starts are all dropped: only the floor channel is left
+        monkeypatch.setattr(region, "_barrier",
+                            lambda kind, q_floor, query, radius: self.OUTSIDE[0])
         query = flip_query(delta=0.05)
         floor_tv, floor_q = min_achievable_delta(query)
         for _, solve in SOLVERS:
