@@ -332,19 +332,19 @@ def _barrier(kind: str, q_floor: np.ndarray, query: RegionQuery,
         grad = t * z_q.T @ grad_f.reshape(-1) + g_z.T @ inv_r
         hess = t * z_q.T @ hess_f @ z_q + (g_z.T * inv_r ** 2) @ g_z
         scale = 1.0 / np.sqrt(np.diag(hess))
+        system = (hess * np.outer(scale, scale), scale * grad)
         try:
-            step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
-        except np.linalg.LinAlgError:
-            break   # singular to working precision: no step is resolvable
+            step = -scale * np.linalg.solve(*system)
+        except np.linalg.LinAlgError:   # singular to working precision
+            step = -scale * np.linalg.lstsq(*system)[0]
         decrement = -float(grad @ step)
-        if decrement <= 2.0 * _NEWTON_TOL:
+        # centered, or Newton stalls: the center is resolved to working precision
+        if decrement <= 2.0 * _NEWTON_TOL or 0.25 > decrement >= last:
             if len(h) / t <= _BARRIER_GAP:
                 break
             t *= _BARRIER_GROWTH
             last = math.inf
             continue
-        if 0.25 > decrement >= last:
-            break   # Newton stalls: the center is resolved to working precision
         last = decrement
         rise = g_z @ step
         ahead = rise > 0

@@ -192,6 +192,20 @@ class TestConstrainedMinima:
                 assert_certified(solve(thin), thin, kind)
 
 
+    def test_newton_matrix_singular_to_working_precision(self):
+        # near t = 2e8 the barrier's reduced Newton matrix for this query is
+        # singular in floating point; stopping there left a gap of 4.0e-8
+        query = RegionQuery(
+            p0=Pmf([0.44522478897682105, 0.554775211023179]),
+            obs_channel=CondPmf([[1.0, 0.0], [0.46520740376114744, 0.5347925962388526]]),
+            target=CondPmf([[1.0, 0.0, 0.0], [0.0, 0.5423313825902476, 0.45766861740975234]]))
+        floor, _ = min_achievable_delta(query)
+        query = dataclasses.replace(query, delta=floor + 0.01)
+        point = min_finite_agent_rate(query)
+        assert_certified(point, query, "finite")
+        assert point.gap <= 1e-8
+
+
 class TestRateDeltaCurve:
     def test_single_point_grid(self):
         query = flip_query()
