@@ -17,7 +17,7 @@ from coordsim.harness import ExperimentConfig, run_experiment
 from coordsim.probkit import (CondPmf, Pmf, compose_markov,
                               conditional_mutual_information, entropy,
                               mutual_information)
-from coordsim.region import (RegionQuery, _objective_batch, min_achievable_delta,
+from coordsim.region import (RegionQuery, _rate, min_achievable_delta,
                              min_finite_agent_rate, min_per_agent_rate)
 from coordsim.source import SourceConfig, draw_actions
 from coordsim.typicality import is_strongly_typical
@@ -112,8 +112,7 @@ class TestRegion:
         triple = ternary_triple()
         for kind, expected in (("finite", mutual_information(triple.pair_marginal(1, 2))),
                                ("per_agent", conditional_mutual_information(triple))):
-            assert _objective_batch(kind, AUX_32.rows[None], query) == \
-                pytest.approx([expected], abs=1e-12)
+            assert _rate(kind, AUX_32.rows, query) == pytest.approx(expected, abs=1e-12)
 
     def test_solver_three_rows_binary_output(self):
         target = CondPmf(GEN.dirichlet((2.0, 2.0), size=3))

@@ -11,7 +11,7 @@ from coordsim.probkit import (CondPmf, Pmf, as_probs, compose_markov,
                               conditional_mutual_information,
                               mutual_information, tv_distance)
 from coordsim.region import (FEASIBILITY_SLACK, OPTIMUM_TOL, RegionQuery,
-                             _objective_batch, min_achievable_delta,
+                             _rate, min_achievable_delta,
                              min_finite_agent_rate, min_per_agent_rate,
                              rate_delta_curve)
 
@@ -25,7 +25,7 @@ def flip_query(obs_flip=0.2, target_flip=0.38, p0=None, delta=None):
 
 def objective(kind, q, query):
     """The solver's objective at one channel q."""
-    return float(_objective_batch(kind, as_probs(q)[None], query)[0])
+    return _rate(kind, as_probs(q), query)
 
 
 def channel_rate(kind, q, query):
@@ -212,7 +212,7 @@ class TestRateDeltaCurve:
         curve = rate_delta_curve(query, [0.05])
         assert len(curve) == 1
         direct = min_per_agent_rate(dataclasses.replace(query, delta=0.05))
-        assert curve[0].per_agent.rate == pytest.approx(direct.rate, abs=1e-6)
+        assert curve[0].per_agent.rate == direct.rate
 
     def test_non_increasing_and_ends_at_zero(self):
         query = flip_query(obs_flip=0.3, target_flip=0.1)
@@ -226,9 +226,20 @@ class TestRateDeltaCurve:
         assert curve[-1].finite.rate == 0.0
 
     def test_grid_order_preserved(self):
+        # every point is its radius's standalone solve, whatever the order
+        # of the grid and however often a radius repeats
         query = flip_query()
-        curve = rate_delta_curve(query, [0.3, 0.05, 0.1])
-        assert [pt.delta for pt in curve] == [0.3, 0.05, 0.1]
+        grid = [0.3, 0.05, 0.1, 0.05]
+        curve = rate_delta_curve(query, grid)
+        assert [pt.delta for pt in curve] == grid
+        assert curve[1].per_agent.rate > 0.0
+        for pt in curve:
+            radius_query = dataclasses.replace(query, delta=pt.delta)
+            for kind, solve in SOLVERS:
+                point, alone = getattr(pt, kind), solve(radius_query)
+                assert point.rate == alone.rate
+                assert point.q_star.rows.tobytes() == alone.q_star.rows.tobytes()
+                assert point.gap == alone.gap
 
 
 class TestQueryValidation:
@@ -470,32 +481,42 @@ def test_solver_lps_match_highs():
     check()
 
 
-class TestWarmStarts:
-    # both lie outside the radius below; the constant channel has rate zero,
-    # so it would win every comparison it entered
-    OUTSIDE = (np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
+def test_barrier_point_outside_the_radius_falls_back_to_the_floor(monkeypatch):
+    # with the barrier returning a channel outside the radius, the floor
+    # channel is returned in its place
+    outside = np.eye(2)
+    monkeypatch.setattr(region, "_barrier", lambda kind, q_floor, query, radius: outside)
+    query = flip_query(delta=0.05)
+    assert region._tv_to_target(outside, query) > 0.15
+    floor_tv, floor_q = min_achievable_delta(query)
+    for _, solve in SOLVERS:
+        point = solve(query)
+        np.testing.assert_array_equal(point.q_star.rows, floor_q.rows)
+        assert point.achieved_tv == floor_tv <= query.delta + FEASIBILITY_SLACK
 
-    def test_infeasible_warm_start_is_dropped(self):
-        # warm starts only compete with the barrier's point, so these two
-        # must be dropped: the returned point lies within the radius
-        query = flip_query(delta=0.05)
-        assert min(region._tv_to_target(q, query) for q in self.OUTSIDE) > 0.15
-        for kind, solve in SOLVERS:
-            cold = solve(query)
-            warm = solve(query, extra_starts=list(self.OUTSIDE))
-            assert cold.rate > 0.0
-            assert warm.achieved_tv <= query.delta + FEASIBILITY_SLACK
-            assert warm.rate <= cold.rate + 1e-9
-            assert_certified(warm, query, kind)
 
-    def test_unsolved_infeasible_start_never_returned(self, monkeypatch):
-        # with the barrier returning a channel outside the radius, it and the
-        # warm starts are all dropped: only the floor channel is left
-        monkeypatch.setattr(region, "_barrier",
-                            lambda kind, q_floor, query, radius: self.OUTSIDE[0])
-        query = flip_query(delta=0.05)
-        floor_tv, floor_q = min_achievable_delta(query)
-        for _, solve in SOLVERS:
-            point = solve(query, extra_starts=list(self.OUTSIDE))
-            np.testing.assert_array_equal(point.q_star.rows, floor_q.rows)
-            assert point.achieved_tv == floor_tv <= query.delta + FEASIBILITY_SLACK
+@pytest.mark.parametrize("kind", ["finite", "per_agent"])
+def test_gradient_matches_central_differences(kind):
+    # the duality gap bounds rate - optimum only if the gradient is right:
+    # along directions that keep each row's sum, its directional derivative
+    # must match a central difference of the rate
+    generator = np.random.default_rng(23)
+    h = 1e-6
+    shapes = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (2, 3, 4), (3, 2, 2)]
+    for k in range(60):
+        sx, sa, sb = shapes[k % len(shapes)]
+        p0 = generator.dirichlet(np.ones(sx))
+        if k % 5 == 0:
+            p0[generator.integers(sx)] = 0.0   # a source symbol of probability zero
+            p0 /= p0.sum()
+        query = RegionQuery(p0=Pmf(p0), obs_channel=CondPmf(generator.dirichlet(np.ones(sa), size=sx)),
+                            target=CondPmf(generator.dirichlet(np.ones(sb), size=sx)))
+        # an interior channel: every entry at least 0.02
+        q = 0.02 + (1.0 - 0.02 * sb) * generator.dirichlet(np.ones(sb), size=sa)
+        direction = generator.normal(size=q.shape)
+        direction -= direction.mean(axis=1, keepdims=True)
+        direction /= np.abs(direction).max()
+        grad = region._gradient(region._chain_weights(kind, query), q)
+        numeric = (_rate(kind, q + h * direction, query)
+                   - _rate(kind, q - h * direction, query)) / (2.0 * h)
+        assert float(np.sum(grad * direction)) == pytest.approx(numeric, abs=1e-4)
