@@ -17,11 +17,11 @@ Two constructions share the machinery here:
 
 Codebooks are lazy: a codeword is a pure function of
 (seed, agent, bin, word, position), so arbitrarily large books cost nothing
-until scanned.  A scanned prefix is generated once and kept on its
-CodebookSpec (up to _PREFIX_CAP_BYTES), so later scans of the same book read
-it instead of regenerating it.  The store keeps each codeword as |Y| - 1 bit
-planes (plane s marks the positions holding symbol s), and the scan counts a
-batch's joint types by popcounts of those planes ANDed with the
+until scanned.  Each scan batch is generated once and kept on its
+CodebookSpec by index range (up to _PREFIX_CAP_BYTES), so later scans of the
+same book read it instead of regenerating it.  A batch keeps each codeword
+as |Y| - 1 bit planes (plane s marks the positions holding symbol s), and
+the scan counts its joint types by popcounts of those planes ANDed with the
 observation's.  Every trial receives exactly one error-case label:
 
     A    some (action, observation) pair is not eps'-typical, eps' = eps/(2|X|)
@@ -59,9 +59,8 @@ _SCAN_BATCH_MAX = 8192
 # holds; it caps the memory a block's arrays take, whatever its trial count
 _CHUNK_POSITIONS = 2**15
 
-# bytes of scanned prefix one CodebookSpec keeps, at (|Y| - 1) * 8 * ceil(n/64)
-# bytes a codeword; scans reaching past it generate the rest of their
-# codewords on the fly
+# bytes of scan batches one CodebookSpec keeps, at (|Y| - 1) * 8 * ceil(n/64)
+# bytes a codeword; a batch that would pass it is generated on every scan
 _PREFIX_CAP_BYTES = 16 * 2**20
 
 
@@ -125,8 +124,8 @@ class CodebookSpec:
     """Lazy random codebook: bins x words-per-bin sequences i.i.d. from p_y.
 
     A direct-scheme book is the degenerate case words_per_bin == 1.  The
-    prefix an encoder has scanned is kept on the instance (see _planes); it
-    is not a field, so equality and repr ignore it.
+    batches an encoder has scanned are kept on the instance (see _planes);
+    they are not a field, so equality and repr ignore them.
     """
 
     n: int
@@ -170,42 +169,26 @@ class CodebookSpec:
         return cls(n=n, p_y=p_y, seed=seed, agent_id=agent_id,
                    num_bins=bins, words_per_bin=words)
 
-    def _planes(self, start: int, stop: int, reach: int) -> np.ndarray:
+    def _planes(self, start: int, stop: int) -> np.ndarray:
         """Codewords at flat indices start..stop-1 as bit planes (see
         _bit_planes): shape (|Y| - 1, ceil(n/64), stop - start), uint64.
 
-        Planes come from a prefix store that grows geometrically, by calling
-        codeword_block on the missing indices only, up to `reach` (how far
-        the calling scan may go) and _PREFIX_CAP_BYTES; codewords past the
-        store are generated and packed on the fly.  Codewords are pure
-        functions of their index, so stored and regenerated planes are
-        bit-identical.
+        A range not kept yet is generated by one codeword_block call and kept
+        on the instance, keyed by (start, stop), if the kept planes stay
+        within _PREFIX_CAP_BYTES.  Every scan of a book at one budget asks
+        for the same ranges (see encode_direct), so repeated scans generate
+        each kept codeword once.  Codewords are pure functions of their
+        index, so kept and regenerated planes are bit-identical.
         """
-        store = self.__dict__.get("_prefix")
-        if store is not None and stop <= store.shape[2]:
-            return store[:, :, start:stop]
-        planes, words = self.p_y.size - 1, -(-self.n // 64)
-        if store is None:
-            store = np.empty((planes, words, 0), dtype=np.uint64)
-        # a book with |Y| = 1 has no planes; its empty codewords count as a byte
-        cap = min(reach, _PREFIX_CAP_BYTES // max(1, 8 * planes * words))
-        have = store.shape[2]
-        if have < cap:
-            grown = np.empty((planes, words, min(max(stop, 2 * have), cap)), dtype=np.uint64)
-            grown[:, :, :have] = store
-            # a batch at a time: growing the store holds no more generated
-            # codewords at once than a scan batch does
-            for lo in range(have, grown.shape[2], _SCAN_BATCH_MAX):
-                hi = min(lo + _SCAN_BATCH_MAX, grown.shape[2])
-                grown[:, :, lo:hi] = _bit_planes(
-                    codeword_block(self, np.arange(lo, hi, dtype=np.int64)), planes)
-            grown.setflags(write=False)
-            object.__setattr__(self, "_prefix", grown)
-            store = grown
-        if stop <= store.shape[2]:
-            return store[:, :, start:stop]
-        tail = codeword_block(self, np.arange(max(start, store.shape[2]), stop, dtype=np.int64))
-        return np.concatenate([store[:, :, start:stop], _bit_planes(tail, planes)], axis=2)
+        store = self.__dict__.setdefault("_prefix", {})
+        planes = store.get((start, stop))
+        if planes is None:
+            planes = _bit_planes(codeword_block(self, np.arange(start, stop, dtype=np.int64)),
+                                 self.p_y.size - 1)
+            planes.setflags(write=False)
+            if sum(p.nbytes for p in store.values()) + planes.nbytes <= _PREFIX_CAP_BYTES:
+                store[start, stop] = planes
+        return planes
 
 
 def _codebook_key(spec: CodebookSpec) -> np.uint64:
@@ -217,7 +200,7 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
 
     Symbols are i.i.d. from p_y across fresh indices and bit-identical on
     replay; nothing is cached or materialized beyond the requested block
-    (encoder scans keep their prefix through CodebookSpec._planes).
+    (encoder scans keep their batches through CodebookSpec._planes).
     """
     flat = np.asarray(flat_indices, dtype=np.int64)
     if flat.size and (flat.min() < 0 or flat.max() >= spec.num_codewords):
@@ -232,15 +215,15 @@ def codeword_block(spec: CodebookSpec, flat_indices: np.ndarray) -> np.ndarray:
 
 def _bit_planes(seqs: np.ndarray, planes: int) -> np.ndarray:
     """The first `planes` bit planes of the sequences seqs (shape (k, n)),
-    plane-major: shape (planes, ceil(n/64), k), uint64.  Bit i of word w
-    of plane s in column j is set iff seqs[j, 64 w + i] == s; padding bits
-    are clear."""
+    plane-major and C-contiguous: shape (planes, ceil(n/64), k), uint64.
+    Bit i of word w of plane s in column j is set iff seqs[j, 64 w + i] == s;
+    padding bits are clear."""
     k, n = seqs.shape
     words = -(-n // 64)
     hot = np.zeros((planes, k, 64 * words), dtype=bool)
     np.equal(seqs, np.arange(planes)[:, None, None], out=hot[:, :, :n])
     packed = np.packbits(hot, bitorder="little").view("<u8")
-    return packed.reshape(planes, k, words).transpose(0, 2, 1)
+    return np.ascontiguousarray(packed.reshape(planes, k, words).transpose(0, 2, 1))
 
 
 class _SchemeConfig:
@@ -387,12 +370,14 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     only the bin number.
 
     Batched, yet independent of the batching: hits resolve to the smallest
-    index, budget stops included.  Codewords are read from the spec's prefix
-    store, which the scan grows to at most min(num_codewords, budget) and a
-    fixed byte cap, so repeated scans of one book generate each stored
-    codeword once.  The bit planes of the observation and its type are
-    built once per call, and each batch's count tables are tested against the
-    bounds as one flat (cells, batch) comparison.
+    index, budget stops included.  Batches double from _SCAN_BATCH_START to
+    _SCAN_BATCH_MAX codewords and the last is cut at min(num_codewords,
+    budget), so every scan of a book at one budget asks for the same index
+    ranges; the spec keeps each range's planes up to a byte cap (see
+    CodebookSpec._planes), and repeated scans generate each kept codeword
+    once.  The bit planes of the observation and its type are built once
+    per call, and each batch's count tables are tested against the bounds
+    as one flat (cells, batch) comparison.
     """
     xhat = np.asarray(xhat, dtype=np.int64)
     pair = cfg.pair_obs_out
@@ -409,7 +394,7 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
     batch = _SCAN_BATCH_START
     while pos < limit:
         take = min(batch, limit - pos)
-        counts = _plane_counts(spec._planes(pos, pos + take, limit), x_planes, x_type)
+        counts = _plane_counts(spec._planes(pos, pos + take), x_planes, x_type)
         counts = counts.reshape(sx * sy, take)
         hits = np.logical_and.reduce((counts >= lo) & (counts <= hi)).nonzero()[0]
         if hits.size:

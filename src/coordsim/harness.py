@@ -83,28 +83,12 @@ class ExperimentStats:
         return self.error_case_counts.get(label, 0) / self.trials
 
 
-# the codebook specs of the last cell this process ran, keyed by what their
-# codewords depend on, so the blocks of one cell share their prefix stores;
-# one entry, so a process keeps at most one cell's stores
-_cell_memo: dict = {}
-
-
-def _cell_specs(cfg: ExperimentConfig) -> tuple:
-    """This process's codebook specs for cfg's cell: fresh ones for a new
-    cell, else the ones its earlier blocks grew."""
-    build = direct_specs if isinstance(cfg.scheme, DirectSchemeConfig) else binned_specs
-    specs = build(cfg.scheme, cfg.source, cfg.seed)
-    key = tuple((s.n, s.p_y.probs.tobytes(), s.seed, s.agent_id, s.num_bins, s.words_per_bin)
-                for s in specs)
-    if key not in _cell_memo:
-        _cell_memo.clear()
-        _cell_memo[key] = specs
-    return _cell_memo[key]
-
-
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
-    specs = _cell_specs(cfg)
-    run = run_direct_trial if isinstance(cfg.scheme, DirectSchemeConfig) else run_binned_trial
+    if isinstance(cfg.scheme, DirectSchemeConfig):
+        build, run = direct_specs, run_direct_trial
+    else:
+        build, run = binned_specs, run_binned_trial
+    specs = build(cfg.scheme, cfg.source, cfg.seed)
     try:
         outcomes = run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
                        budget=cfg.search_budget, report_target=cfg.target)
@@ -154,15 +138,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         # multiprocessing loads only for runs that fan out
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork starts every worker at the first submit, so ask for no more
-        # workers than there are blocks
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(blocks)))
-        try:
+        # one worker per block: every block starts at once
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_run_block, itertools.repeat(cfg),
                                     [b[0] for b in blocks], [b[1] for b in blocks]))
-        finally:
-            # an abort leaves no block worth starting
-            pool.shutdown(cancel_futures=True)
     rows = [row for block in results for row in block]
 
     tvs = np.array([row[0] for row in rows])
@@ -182,13 +161,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous trial ranges, one per task.
-
-    A single worker runs one block; more workers get workers * 4 blocks.
-    Either way each process generates a cell's codebook prefixes once: the
-    blocks it runs share its specs (see _cell_specs).
-    """
-    pieces = 1 if workers <= 1 else min(trials, workers * 4)
-    size = math.ceil(trials / pieces)
-    return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-
+    """Contiguous trial ranges in trial order, one per worker: min(trials,
+    workers) blocks whose sizes differ by at most one.  Each block builds
+    its cell's codebook specs, so each process generates a cell's scan
+    batches once."""
+    pieces = min(trials, workers)
+    size, extra = divmod(trials, pieces)
+    bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))

@@ -71,6 +71,18 @@ def _all_sequences(size: int, n: int) -> np.ndarray:
     return np.indices((size,) * n, dtype=np.int64).reshape(n, -1).T
 
 
+def _all_pair_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every binary length-n sequence, and the count table of every ordered
+    pair of them: counts[i, j, 2a + b] is the number of positions where
+    sequence i holds a and sequence j holds b."""
+    seqs = _all_sequences(2, n)
+    codes = seqs[:, None, :] * 2 + seqs[None, :, :]
+    counts = np.empty((codes.shape[0], codes.shape[1], 4), dtype=np.int64)
+    for cell in range(4):
+        counts[:, :, cell] = (codes == cell).sum(axis=2)
+    return seqs, counts
+
+
 def _clear_of_ties(probs: np.ndarray, n: int, epsilon: float) -> bool:
     """No frequency c/n lies within 1e-9 of a cell's strict boundary
     p +- eps/#cells.
@@ -189,11 +201,7 @@ def ac2_typicality_definition() -> CheckResult:
     for epsilon in (0.05, 0.1, 0.3):
         for n in range(1, 9):
             _assert_no_boundary_ties(probs, n, epsilon)
-            seqs = _all_sequences(2, n)
-            codes = seqs[:, None, :] * 2 + seqs[None, :, :]
-            counts = np.empty((codes.shape[0], codes.shape[1], 4), dtype=np.int64)
-            for cell in range(4):
-                counts[:, :, cell] = (codes == cell).sum(axis=2)
+            seqs, counts = _all_pair_counts(n)
             lo, hi = count_bounds(probs, n, epsilon)
             lo = lo.reshape(-1)
             hi = hi.reshape(-1)
@@ -261,12 +269,8 @@ def ac3_typical_set_bounds() -> CheckResult:
         elif n > 1000:
             issues.append(f"expected a binding bound at n={n} (delta_t={dt:.3g})")
 
+    _, counts = _all_pair_counts(8)
     for eps in (0.05, 0.3):
-        seqs = _all_sequences(2, 8)
-        codes = seqs[:, None, :] * 2 + seqs[None, :, :]
-        counts = np.empty((codes.shape[0], codes.shape[1], 4), dtype=np.int64)
-        for cell in range(4):
-            counts[:, :, cell] = (codes == cell).sum(axis=2)
         lo, hi = count_bounds(probs, 8, eps)
         members = int(np.sum(np.all((counts >= lo.reshape(-1)) &
                                     (counts <= hi.reshape(-1)), axis=2)))

@@ -253,21 +253,29 @@ class TestScanPrefixStore:
     def test_rows_equal_generated_codewords(self, data, sy, n, cap_rows, seed):
         spec = CodebookSpec(n=n, p_y=Pmf.uniform(sy), seed=seed, agent_id=3,
                             num_bins=900, words_per_bin=1)
+        cap = cap_rows * max(1, _plane_bytes(sy, n))
+        asked = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coding, "_PREFIX_CAP_BYTES", cap_rows * max(1, _plane_bytes(sy, n)))
+            patch.setattr(coding, "_PREFIX_CAP_BYTES", cap)
             for _ in range(data.draw(st.integers(1, 5))):
-                reach = data.draw(st.integers(1, 900))
-                stop = data.draw(st.integers(1, reach))
-                start = data.draw(st.integers(0, stop - 1))
-                planes = spec._planes(start, stop, reach)
-                assert planes.dtype == np.uint64
+                # a range asked again reads what the first ask kept, if anything
+                if asked and data.draw(st.booleans()):
+                    start, stop = data.draw(st.sampled_from(asked))
+                else:
+                    stop = data.draw(st.integers(1, 900))
+                    start = data.draw(st.integers(0, stop - 1))
+                asked.append((start, stop))
+                planes = spec._planes(start, stop)
+                assert planes.dtype == np.uint64 and planes.flags.c_contiguous
+                assert not planes.flags.writeable
                 assert planes.shape == (sy - 1, -(-n // 64), stop - start)
                 assert np.array_equal(
                     planes, _bit_planes(codeword_block(spec, np.arange(start, stop)), sy - 1))
-        stored = vars(spec).get("_prefix", np.empty((sy - 1, -(-n // 64), 0), np.uint64))
-        assert stored.shape[2] <= cap_rows
-        assert np.array_equal(
-            stored, _bit_planes(codeword_block(spec, np.arange(stored.shape[2])), sy - 1))
+        kept = vars(spec)["_prefix"]
+        assert sum(p.nbytes for p in kept.values()) <= cap
+        for (start, stop), planes in kept.items():
+            assert np.array_equal(
+                planes, _bit_planes(codeword_block(spec, np.arange(start, stop)), sy - 1))
 
     def test_store_is_generated_once_and_not_a_field(self, monkeypatch):
         spec = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=1,
@@ -287,16 +295,20 @@ class TestScanPrefixStore:
         first = encode_direct(xhat, cfg, spec, budget=3000)
         assert not first.found and first.search_cost == 3000
         assert sum(generated) == 3000
+        # batches of 64, 128, ..., 1024 codewords, the last cut at the budget
+        ranges = [(0, 64), (64, 192), (192, 448), (448, 960), (960, 1984), (1984, 3000)]
+        assert sorted(vars(spec)["_prefix"]) == ranges
+        assert encode_direct(xhat, cfg, spec, budget=3000) == first
+        assert sum(generated) == 3000
+        # another budget cuts its last batch elsewhere: only that batch is new
         assert encode_direct(xhat, cfg, spec, budget=2000) == \
             dataclasses.replace(first, search_cost=2000)
-        assert sum(generated) == 3000
-        # a scan reaching further extends the store by the missing rows only
-        encode_direct(xhat, cfg, spec, budget=4000)
-        assert sum(generated) == 4000
-        planes = spec._planes(0, 4000, 4000)
-        assert planes.dtype == np.uint64 and planes.shape == (2, 1, 4000)
-        assert sum(generated) == 4000
-        assert np.array_equal(planes, _bit_planes(original(spec, np.arange(4000)), 2))
+        assert sum(generated) == 3000 + 16
+        for start, stop in ranges:
+            planes = spec._planes(start, stop)
+            assert planes.dtype == np.uint64 and planes.shape == (2, 1, stop - start)
+            assert np.array_equal(planes, _bit_planes(original(spec, np.arange(start, stop)), 2))
+        assert sum(generated) == 3000 + 16
         fresh = dataclasses.replace(spec)
         assert fresh == spec and repr(fresh) == repr(spec)
         assert "_prefix" in vars(spec) and "_prefix" not in vars(fresh)
@@ -306,8 +318,8 @@ class TestScanPrefixStore:
            n=st.one_of(st.integers(1, 200), st.sampled_from(_WORD_EDGES)),
            batch=st.integers(0, 20), seed=st.integers(0, 2**31 - 1))
     def test_plane_counts_equal_bincount(self, data, sx, sy, n, batch, seed):
-        # the batch's planes come from the prefix store, so |Y| = 1 (no
-        # planes, no store bytes) also runs the store's cap arithmetic
+        # the batch's planes come from the store, so |Y| = 1 (no planes, no
+        # kept bytes) also runs the store's cap arithmetic
         spec = CodebookSpec(n=n, p_y=Pmf(_law(data, sy)), seed=seed, agent_id=0,
                             num_bins=max(batch, 1), words_per_bin=1)
         y = codeword_block(spec, np.arange(batch))
@@ -316,7 +328,7 @@ class TestScanPrefixStore:
                              for row in y]).reshape(batch, sx, sy)
         x_planes = _bit_planes(x[None], sx)
         assert x_planes.shape == (sx, -(-n // 64), 1)
-        counts = _plane_counts(spec._planes(0, batch, batch), x_planes,
+        counts = _plane_counts(spec._planes(0, batch), x_planes,
                                np.bincount(x, minlength=sx)[:, None])
         assert counts.dtype == np.int64 and counts.shape == (sx, sy, batch)
         assert np.array_equal(counts, expected.transpose(1, 2, 0))

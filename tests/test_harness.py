@@ -12,7 +12,7 @@ from coordsim.coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DirectSc
                              EncodeResult, ErrorCase, codeword_block,
                              decode_direct, direct_specs)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
-                              ExperimentStats, _run_block, _split_blocks,
+                              ExperimentStats, _split_blocks,
                               run_experiment)
 from coordsim.probkit import CondPmf, Pmf, compose_markov, mutual_information
 from coordsim.source import SourceConfig, draw_actions
@@ -50,8 +50,7 @@ def strip_timing(stats: ExperimentStats) -> ExperimentStats:
 
 
 def count_generated(monkeypatch) -> list[int]:
-    """Patch codeword_block to record how many codewords each call makes,
-    and drop the specs this process keeps from earlier cells."""
+    """Patch codeword_block to record how many codewords each call makes."""
     generated = []
     block = coding.codeword_block
 
@@ -60,7 +59,6 @@ def count_generated(monkeypatch) -> list[int]:
         return block(spec, flat)
 
     monkeypatch.setattr(coding, "codeword_block", counting_block)
-    monkeypatch.setattr(harness, "_cell_memo", {})
     return generated
 
 
@@ -71,6 +69,17 @@ class TestRunExperiment:
         assert stats.trials == 40
         assert 0.0 <= stats.mean_tv <= 1.0
         assert stats.q50 <= stats.q90 <= stats.q99
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(trials=st.integers(1, 500), workers=st.integers(1, 64))
+    def test_blocks_cover_the_trials_once_one_per_worker(self, trials, workers):
+        blocks = _split_blocks(trials, workers)
+        assert len(blocks) == min(trials, workers)
+        # contiguous and in order: each block starts where the last ended
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == trials
+        sizes = [hi - lo for lo, hi in blocks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     def test_deterministic_across_worker_counts(self):
         cfg = direct_config(trials=48)
@@ -87,14 +96,17 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-            def shutdown(self, cancel_futures=False):
-                pass
-
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for trials, workers, blocks in ((5, 32, 5), (60, 2, 8), (3, 3, 3)):
+        for trials, workers, blocks in ((5, 32, 5), (60, 2, 2), (3, 3, 3)):
             cfg = direct_config(trials=trials)
             assert len(_split_blocks(trials, workers)) == blocks
             assert strip_timing(run_experiment(cfg, workers=workers)) == \
@@ -149,22 +161,6 @@ class TestRunExperiment:
         # the scans generate each book's store once, up to the longest scan,
         # and the decoder generates each trial's emitted word
         assert sum(generated) == sum(costs.values()) + cfg.trials
-
-    def test_blocks_in_one_process_share_the_prefixes(self, monkeypatch):
-        cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
-        generated = count_generated(monkeypatch)
-        totals, rows = [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(harness, "_cell_memo", {})
-            generated.clear()
-            blocks = _split_blocks(cfg.trials, workers)
-            rows.append([row for lo, hi in blocks for row in _run_block(cfg, lo, hi)])
-            totals.append(sum(generated))
-        assert len(_split_blocks(cfg.trials, 2)) == 8
-        assert rows[0] == rows[1]
-        # both agents' scans reach the budget, so each book's store is 900
-        # rows; the decoder generates each of the 60 emitted words
-        assert totals == [2 * 900 + 60, 2 * 900 + 60]
 
     def test_decode_direct_emits_the_stored_word_as_int64(self, monkeypatch):
         cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
