@@ -414,23 +414,32 @@ def fresh_python(script: str, **env_vars: str) -> str:
     return done.stdout
 
 
+def pinned_run_script(spec_path: str, out_path: str, modules: set) -> str:
+    return ("import sys\n"
+            "import coordsim\n"
+            "from coordsim import cli\n"
+            f"coordsim.load_runspec({spec_path!r})\n"
+            f"assert cli.cmd_simulate({spec_path!r}, {out_path!r}) == 0\n"
+            f"print(sorted({modules!r} & set(sys.modules)))\n")
+
+
+def test_pinned_channel_run_loads_neither_jsonschema_nor_mpmath(tmp_path):
+    # numpy is the only runtime dependency; a fresh process shows what
+    # importing, loading a spec and simulating pull in
+    spec_path = write_spec(tmp_path, base_spec())
+    script = pinned_run_script(spec_path, str(tmp_path / "out.csv"), {"jsonschema", "mpmath"})
+    assert fresh_python(script) == "[]\n"
+
+
 def test_pinned_channel_run_loads_neither_the_solver_nor_a_process_pool(tmp_path):
-    # numpy is the only runtime dependency, so neither jsonschema nor mpmath
-    # loads; the region solver loads only where a run uses it, a one-worker
-    # run starts no process pool, and the TV quantiles are taken without
-    # np.quantile, whose np.unique imports numpy.ma.  A fresh process shows
-    # what importing, loading a spec and simulating pull in
+    # the region solver loads only where a run uses it, a one-worker run
+    # starts no process pool, and the TV quantiles are taken without
+    # np.quantile, whose np.unique imports numpy.ma
     document = base_spec()
     del document["region"]
     spec_path = write_spec(tmp_path, document)
-    modules = {"jsonschema", "mpmath", "coordsim.region", "concurrent.futures.process",
-               "numpy.ma"}
-    script = ("import sys\n"
-              "import coordsim\n"
-              "from coordsim import cli\n"
-              f"coordsim.load_runspec({spec_path!r})\n"
-              f"assert cli.cmd_simulate({spec_path!r}, {str(tmp_path / 'out.csv')!r}) == 0\n"
-              f"print(sorted({modules!r} & set(sys.modules)))\n")
+    script = pinned_run_script(spec_path, str(tmp_path / "out.csv"),
+                               {"coordsim.region", "concurrent.futures.process", "numpy.ma"})
     assert fresh_python(script) == "[]\n"
 
 
