@@ -16,11 +16,10 @@ from .probkit import (CondPmf, JointPmf, Pmf, compose_markov,
 from .typicality import (count_bounds, delta_t, epsilon_m, is_strongly_typical,
                          typical_set_size_bound)
 from .source import ActionDraw, SourceConfig, draw_actions
-from .coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
-                     DecoderBudgetExceeded, DirectSchemeConfig, EncodeResult,
-                     ErrorCase, TrialOutcome, codeword_block, decode_binned, decode_direct,
-                     encode_binned, encode_direct, run_binned_trial,
-                     run_direct_trial)
+from .coding import (BinnedSchemeConfig, CodebookSpec, DecoderBudgetExceeded,
+                     DirectSchemeConfig, EncodeResult, ErrorCase, Trials, codeword_block,
+                     decode_binned, decode_direct, encode_binned, encode_direct,
+                     run_binned_trial, run_direct_trial)
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
 from .runspec import RunSpec, SpecError, load_runspec, parse_runspec
@@ -51,8 +50,8 @@ __all__ = [
     "is_strongly_typical", "typical_set_size_bound",
     "SourceConfig", "ActionDraw", "draw_actions",
     "CodebookSpec", "DirectSchemeConfig", "BinnedSchemeConfig",
-    "EncodeResult", "TrialOutcome", "ErrorCase",
-    "DecoderBudgetExceeded", "BinnedDecodeResult",
+    "EncodeResult", "Trials", "ErrorCase",
+    "DecoderBudgetExceeded",
     "codeword_block", "encode_direct", "decode_direct",
     "encode_binned", "decode_binned",
     "run_direct_trial", "run_binned_trial",

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +91,11 @@ class ErrorCase(str, Enum):
     CA = "Ca"
     CB = "Cb"
     D = "D"
+
+
+# a trial's label is an int code that indexes CASES, in ErrorCase's order
+CASES = tuple(ErrorCase)
+_NONE, _A, _B, _CA, _CB, _D = range(len(CASES))
 
 
 # an exponent past this gives more than MAX_TOTAL_CODEWORDS codewords; it is
@@ -303,44 +309,24 @@ class BinnedSchemeConfig(_SchemeConfig):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    """Outcome of one agent's codebook scan."""
+class EncodeResult(NamedTuple):
+    """Outcome of one agent's codebook scan: the flat index (bin * words +
+    word) of the first typical codeword, or -1 when the scan found none;
+    the codewords scanned; and whether the scan stopped at its budget."""
 
-    w: int | None
-    v: int | None
-    found: bool
+    index: int
     search_cost: int
-    budget_hit: bool = False
-
-    def __post_init__(self):
-        if self.found and (self.w is None or self.w < 0):
-            raise ValueError("found results must carry a valid index")
+    budget_hit: bool
 
 
-@dataclass(frozen=True)
-class BinnedDecodeResult:
-    """Joint-decoder outcome: how many word tuples matched, which one (if
-    unique), and the emitted sequence (fallback when not unique)."""
-
-    matches_found: int
-    v_tuple: tuple[int, ...] | None
-    y_seq: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One Monte Carlo trial: emitted sequence, error label, realized TV."""
+class Trials(NamedTuple):
+    """A block of trials in trial order, one entry each: emitted sequences (int64
+    rows), error-case codes (CASES[code] is the label), TVs and budget stops."""
 
     y_seq: np.ndarray
-    error_case: ErrorCase
-    tv_realized: float
-    budget_hit: bool = False
-    search_cost: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.tv_realized <= 1.0:
-            raise ValueError("tv_realized must lie in [0, 1]")
+    case: np.ndarray
+    tv: np.ndarray
+    budget_hit: np.ndarray
 
 
 def _plane_counts(y_planes, x_planes, x_type) -> np.ndarray:
@@ -399,34 +385,29 @@ def encode_direct(xhat, cfg: _SchemeConfig, spec: CodebookSpec,
         hits = np.logical_and.reduce((counts >= lo) & (counts <= hi)).nonzero()[0]
         if hits.size:
             flat = pos + int(hits[0])
-            return EncodeResult(w=flat // spec.words_per_bin,
-                                v=flat % spec.words_per_bin,
-                                found=True, search_cost=flat + 1)
+            return EncodeResult(flat, flat + 1, False)
         pos += take
         batch = min(batch * 2, _SCAN_BATCH_MAX)
-    return EncodeResult(w=None, v=None, found=False, search_cost=limit,
-                        budget_hit=limit < spec.num_codewords)
+    return EncodeResult(-1, limit, limit < spec.num_codewords)
 
 
 encode_binned = encode_direct
 
 
-def decode_direct(results, specs) -> np.ndarray:
+def decode_direct(index, specs) -> np.ndarray:
     """The emitted words of a block of trials, one int64 row per trial.
 
-    results holds, per trial, every agent's EncodeResult.  A trial emits the
-    codeword of its lowest-indexed successful agent; if every encoder
-    failed, agent 0's first codeword.  Each agent's emitted words are
-    generated in one codeword_block call.
+    index holds every agent's scan result per trial, shape (trials, L): the
+    flat index of its codeword, or -1.  A trial emits the codeword of its
+    lowest-indexed agent with index >= 0; if there is none, agent 0's
+    first codeword.  Each agent's emitted words are generated in one
+    codeword_block call.
     """
-    agent = np.zeros(len(results), dtype=np.int64)
-    flat = np.zeros(len(results), dtype=np.int64)
-    for t, trial in enumerate(results):
-        for l, (spec, res) in enumerate(zip(specs, trial)):
-            if res.found:
-                agent[t], flat[t] = l, res.w * spec.words_per_bin + (res.v or 0)
-                break
-    words = np.empty((len(results), specs[0].n), dtype=np.int64)
+    index = np.asarray(index, dtype=np.int64)
+    # argmax finds the first True, and agent 0 where a row has none
+    agent = np.argmax(index >= 0, axis=1)
+    flat = np.maximum(index[np.arange(len(index)), agent], 0)
+    words = np.empty((len(index), specs[0].n), dtype=np.int64)
     for l in sorted(set(agent.tolist())):
         rows = agent == l
         words[rows] = codeword_block(specs[l], flat[rows])
@@ -565,17 +546,18 @@ def _class_tables(agents: int, sy: int) -> tuple[np.ndarray, tuple[np.ndarray, .
     return classes, tuple(moves)
 
 
-def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> list[BinnedDecodeResult]:
+def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> tuple[np.ndarray, np.ndarray]:
     """Joint decoding of a block of trials from their received bin numbers.
 
-    bin_tuples holds one bin number per agent for each trial; the result
-    holds one BinnedDecodeResult per trial, in the same order.  For each
+    bin_tuples holds one bin number per agent for each trial.  For each
     trial the decoder finds every word tuple (one word per agent's bin)
     for which some action sequence makes the stacked length-nL pair
     jointly typical; the tuple must be unique, the witnessing action
-    sequence need not be.  Each result is exactly that of the literal
-    decoder the acceptance checks run (verify._oracle_decode) on its
-    trial alone.
+    sequence need not be.  It returns, in trial order, how many word
+    tuples matched and the emitted sequences (int64 rows): agent 0's word
+    of the tuple when it is unique, else word 0 of agent 0's bin.  Each
+    trial's result is exactly that of the literal decoder the acceptance
+    checks run (verify._oracle_decode) on its trial alone.
 
     No action sequence is enumerated: the stacked counts depend on the
     sequence only through how many positions of each column class (how many
@@ -605,7 +587,7 @@ def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> list[BinnedDeco
             raise ValueError(f"codebook alphabet has {spec.p_y.size} symbols but the "
                              f"design pair's output alphabet has {sy}")
     if not bins.size:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
     num_tuples = words**num_agents
     if num_tuples * n > DECODE_WORK_CAP:
         exc = DecoderBudgetExceeded(
@@ -616,18 +598,19 @@ def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> list[BinnedDeco
 
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
     pool = max(1, _CHUNK_POSITIONS // (num_tuples * n))
-    results = []
+    pools = []
     for start in range(0, bins.shape[0], pool):
         try:
-            results += _decode_pool(bins[start:start + pool], specs, lo, hi)
+            pools.append(_decode_pool(bins[start:start + pool], specs, lo, hi))
         except DecoderBudgetExceeded as exc:
             exc.trial_index += start
             raise
-    return results
+    matches, ys = zip(*pools)
+    return np.concatenate(matches), np.concatenate(ys)
 
 
 def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
-                 hi: np.ndarray) -> list[BinnedDecodeResult]:
+                 hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """decode_binned on one pool of trials, bins[t] holding trial t's bin
     numbers.
 
@@ -710,13 +693,7 @@ def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
     found = match.sum(axis=1)
     # a trial with one match emits agent 0's word of that tuple, else word 0
     chosen = np.where(found == 1, match.argmax(axis=1), 0)
-    ys = books[0][np.arange(trials), chosen // words**(agents - 1)]
-    results = []
-    for t, (count, flat) in enumerate(zip(found.tolist(), chosen.tolist())):
-        v_tuple = (tuple(int(v) for v in np.unravel_index(flat, (words,) * agents))
-                   if count == 1 else None)
-        results.append(BinnedDecodeResult(matches_found=count, v_tuple=v_tuple, y_seq=ys[t]))
-    return results
+    return found, books[0][np.arange(trials), chosen // words**(agents - 1)]
 
 
 def direct_specs(cfg: DirectSchemeConfig, source_cfg: SourceConfig, seed: int):
@@ -736,19 +713,19 @@ def binned_specs(cfg: BinnedSchemeConfig, source_cfg: SourceConfig, seed: int):
 
 def _run_trials(encode, decode, source_cfg: SourceConfig, cfg, specs, seed: int,
                 trial_index: int, count: int, budget: int | None,
-                report_target: JointPmf | None) -> list[TrialOutcome]:
+                report_target: JointPmf | None) -> Trials:
     """Draw, encode at every agent with `encode`, decode, and label the
     trials trial_index .. trial_index + count - 1, in trial order.
 
     Trials run in chunks of at most _CHUNK_POSITIONS drawn symbols.  A
     chunk has one draw, one typicality table stack for its source pairs and
     one for its (action, output) pairs; encoding stays one call per (trial,
-    agent).  `decode(trials, results)` is the scheme's decoding step over a
-    chunk, one decode_direct or decode_binned call: it returns the emitted
-    sequences, one row per trial, and per trial the error case it ran into
-    (B, Ca or Cb), or None when it decoded.  A trial's label is A if some
-    source pair is atypical, else that case, else none or D by the output
-    test.
+    agent), stacked into one (trials, L, 3) array of EncodeResults.
+    `decode(trials, index)`, one decode_direct or decode_binned call on the
+    (trials, L) codeword indices, returns the emitted sequences and each
+    trial's code of the case it ran into (B, Ca or Cb), or _NONE when it
+    decoded.  A trial's label is A if some source pair is atypical, else
+    that case, else none or D by the output test.
     """
     pair = cfg.pair_src_out
     target = report_target if report_target is not None else pair
@@ -758,47 +735,40 @@ def _run_trials(encode, decode, source_cfg: SourceConfig, cfg, specs, seed: int,
     eps_prime = cfg.epsilon / (2 * source_cfg.p0.size)
     size = max(1, _CHUNK_POSITIONS // ((source_cfg.L + 1) * n))
     stop = trial_index + count
-    outcomes = []
+    chunks = []
     for lo in range(trial_index, stop, size):
         trials = range(lo, min(lo + size, stop))
         draw = draw_actions(source_cfg, seed, np.array(trials))
         pairs_ok = np.all(is_strongly_typical(draw.x_seq[:, None], draw.xhat_seqs,
                                               cfg.pair_src_obs, eps_prime), axis=1)
-        results = [[encode(xhat, cfg, spec, budget) for xhat, spec in zip(xhats, specs)]
-                   for xhats in draw.xhat_seqs]
-        ys, failures = decode(trials, results)
+        scans = np.array([[encode(xhat, cfg, spec, budget) for xhat, spec in zip(xhats, specs)]
+                          for xhats in draw.xhat_seqs], dtype=np.int64)
+        ys, failed = decode(trials, scans[:, :, 0])
 
         # one (action, output) count table per trial serves the output test
         # and the TV
         counts = joint_type(draw.x_seq, ys, *pair.shape)
-        output_ok = counts_typical(counts, pair, n, cfg.epsilon)
-        tvs = tv_distance(counts / n, target).tolist()
-        for t, trial in enumerate(results):
-            if not pairs_ok[t]:
-                case = ErrorCase.A
-            elif failures[t] is not None:
-                case = failures[t]
-            else:
-                case = ErrorCase.NONE if output_ok[t] else ErrorCase.D
-            outcomes.append(TrialOutcome(y_seq=ys[t], error_case=case, tv_realized=tvs[t],
-                                         budget_hit=any(r.budget_hit for r in trial),
-                                         search_cost=sum(r.search_cost for r in trial)))
-    return outcomes
+        # A outranks the decode step's case, which outranks the output test
+        case = np.where(counts_typical(counts, pair, n, cfg.epsilon), _NONE, _D)
+        case = np.where(failed != _NONE, failed, case)
+        case = np.where(pairs_ok, case, _A)
+        chunks.append(Trials(ys, case, tv_distance(counts / n, target),
+                             scans[:, :, 2].any(axis=1)))
+    return Trials(*map(np.concatenate, zip(*chunks)))
 
 
 def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
                      seed: int, trial_index: int, count: int = 1, budget: int | None = None,
-                     report_target: JointPmf | None = None) -> list[TrialOutcome]:
+                     report_target: JointPmf | None = None) -> Trials:
     """Direct-scheme trials trial_index .. trial_index + count - 1: one agent
     that found a codeword is enough, and B means none did.
 
-    tv_realized compares the (action, output) joint type against
+    The realized TV compares the (action, output) joint type against
     report_target (the coordination target), which defaults to the scheme's
     own design pair.
     """
-    def decode(trials, results):
-        failures = [None if any(r.found for r in trial) else ErrorCase.B for trial in results]
-        return decode_direct(results, specs), failures
+    def decode(trials, index):
+        return decode_direct(index, specs), np.where(np.any(index >= 0, axis=1), _NONE, _B)
 
     return _run_trials(encode_direct, decode, source_cfg, cfg, specs, seed, trial_index,
                        count, budget, report_target)
@@ -806,7 +776,7 @@ def run_direct_trial(source_cfg: SourceConfig, cfg: DirectSchemeConfig, specs,
 
 def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
                      seed: int, trial_index: int, count: int = 1, budget: int | None = None,
-                     report_target: JointPmf | None = None) -> list[TrialOutcome]:
+                     report_target: JointPmf | None = None) -> Trials:
     """Binned-scheme trials trial_index .. trial_index + count - 1: B when
     any encoder failed, else joint decoding, with Ca for no matching word
     tuple and Cb for several.
@@ -815,25 +785,20 @@ def run_binned_trial(source_cfg: SourceConfig, cfg: BinnedSchemeConfig, specs,
     one call.  A decode past the decoder's work bound raises
     DecoderBudgetExceeded with trial_index set to the first refused trial.
     """
-    def decode(trials, results):
-        ys = np.empty((len(results), source_cfg.n), dtype=np.int64)
-        ok = [t for t, trial in enumerate(results) if all(r.found for r in trial)]
-        failed = np.ones(len(results), dtype=bool)
-        failed[ok] = False
-        ys[failed] = codeword_block(specs[0], np.zeros(int(failed.sum()), dtype=np.int64))
-        failures = [ErrorCase.B] * len(results)
-        if not ok:
-            return ys, failures
+    def decode(trials, index):
+        ok = np.all(index >= 0, axis=1)
+        ys = np.empty((len(index), source_cfg.n), dtype=np.int64)
+        ys[~ok] = codeword_block(specs[0], np.zeros(int((~ok).sum()), dtype=np.int64))
+        failed = np.full(len(index), _B)
+        if not ok.any():
+            return ys, failed
         try:
-            decoded = decode_binned([[r.w for r in results[t]] for t in ok], cfg, specs)
+            matches, ys[ok] = decode_binned(index[ok] // specs[0].words_per_bin, cfg, specs)
         except DecoderBudgetExceeded as exc:
-            exc.trial_index = trials[ok[exc.trial_index]]
+            exc.trial_index = trials[np.flatnonzero(ok)[exc.trial_index]]
             raise
-        for t, out in zip(ok, decoded):
-            ys[t] = out.y_seq
-            failures[t] = (None if out.matches_found == 1
-                           else ErrorCase.CA if out.matches_found == 0 else ErrorCase.CB)
-        return ys, failures
+        failed[ok] = np.where(matches == 1, _NONE, np.where(matches == 0, _CA, _CB))
+        return ys, failed
 
     return _run_trials(encode_binned, decode, source_cfg, cfg, specs, seed, trial_index,
                        count, budget, report_target)

@@ -18,13 +18,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
-                     ErrorCase, binned_specs, direct_specs, run_binned_trial,
+from .coding import (CASES, BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
+                     Trials, binned_specs, direct_specs, run_binned_trial,
                      run_direct_trial)
 from .probkit import JointPmf
 from .source import SourceConfig
-
-CASE_LABELS = tuple(case.value for case in ErrorCase)
 
 
 class ExperimentAborted(RuntimeError):
@@ -83,20 +81,18 @@ class ExperimentStats:
         return self.error_case_counts.get(label, 0) / self.trials
 
 
-def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> list[tuple]:
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> Trials:
     if isinstance(cfg.scheme, DirectSchemeConfig):
         build, run = direct_specs, run_direct_trial
     else:
         build, run = binned_specs, run_binned_trial
     specs = build(cfg.scheme, cfg.source, cfg.seed)
     try:
-        outcomes = run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
-                       budget=cfg.search_budget, report_target=cfg.target)
+        return run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
+                   budget=cfg.search_budget, report_target=cfg.target)
     except DecoderBudgetExceeded as exc:
         raise ExperimentAborted(f"trial {exc.trial_index} of {cfg.trials}: {exc}; shrink n, "
                                 f"L, or the codebook") from exc
-    return [(outcome.tv_realized, outcome.error_case.value,
-             outcome.budget_hit, outcome.search_cost) for outcome in outcomes]
 
 
 def _quantiles(values: np.ndarray, qs) -> list[float]:
@@ -142,21 +138,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_run_block, itertools.repeat(cfg),
                                     [b[0] for b in blocks], [b[1] for b in blocks]))
-    rows = [row for block in results for row in block]
-
-    tvs = np.array([row[0] for row in rows])
-    counts = {label: 0 for label in CASE_LABELS}
-    for row in rows:
-        counts[row[1]] += 1
+    tvs = np.concatenate([block.tv for block in results])
+    counts = np.bincount(np.concatenate([block.case for block in results]),
+                         minlength=len(CASES))
     quantiles = _quantiles(tvs, (0.5, 0.9, 0.99))
     stderr = float(tvs.std(ddof=1) / math.sqrt(tvs.size)) if tvs.size > 1 else 0.0
     return ExperimentStats(
         mean_tv=float(tvs.mean()),
         q50=quantiles[0], q90=quantiles[1], q99=quantiles[2],
-        error_case_counts=counts,
-        trials=len(rows),
+        error_case_counts={case.value: int(k) for case, k in zip(CASES, counts)},
+        trials=tvs.size,
         wall_time=time.perf_counter() - start,
-        budget_hits=sum(1 for row in rows if row[2]),
+        budget_hits=int(sum(block.budget_hit.sum() for block in results)),
         tv_stderr=stderr)
 
 

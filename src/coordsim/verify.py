@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cli, region as region_mod, rng
-from .coding import (BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
+from .coding import (CASES, BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
                      binned_specs, codeword_block, run_binned_trial)
 from .harness import ExperimentConfig, run_experiment
 from .probkit import (CondPmf, Pmf, compose_markov,
@@ -462,12 +462,11 @@ def ac6_binned_decoder_oracle() -> CheckResult:
         for trial in range(trials_each):
             specs = binned_specs(cfg, source_cfg, seed + trial)
             bins = list(bins_table[trial])
-            [lib] = decode_binned([bins], cfg, specs)
+            [matches], [y_seq] = decode_binned([bins], cfg, specs)
             oracle_matches, oracle_y = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
             bucket = min(len(oracle_matches), 2)
             match_coverage[bucket] = match_coverage.get(bucket, 0) + 1
-            if lib.matches_found != len(oracle_matches) or \
-                    not np.array_equal(lib.y_seq, oracle_y):
+            if matches != len(oracle_matches) or not np.array_equal(y_seq, oracle_y):
                 mismatches += 1
 
     # full trials (encode + decode + classification) in three regimes:
@@ -485,12 +484,12 @@ def ac6_binned_decoder_oracle() -> CheckResult:
                                       L=num_agents, n=n)
             for trial in range(trials_each):
                 specs = binned_specs(cfg, source_cfg, seed + trial)
-                [outcome] = run_binned_trial(source_cfg, cfg, specs, seed, trial)
+                outcome = run_binned_trial(source_cfg, cfg, specs, seed, trial)
                 label, y_oracle = _oracle_binned_trial(source_cfg, cfg, specs,
                                                        seed, trial)
                 label_counts[label] = label_counts.get(label, 0) + 1
-                if outcome.error_case.value != label or \
-                        not np.array_equal(outcome.y_seq, y_oracle):
+                if CASES[outcome.case[0]].value != label or \
+                        not np.array_equal(outcome.y_seq[0], y_oracle):
                     mismatches += 1
 
     total = 3 * trials_each * 4
@@ -505,31 +504,36 @@ def ac6_binned_decoder_oracle() -> CheckResult:
 # AC7: region solver vs dense grid
 # ---------------------------------------------------------------------------
 
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """h(p) = -p ln p - (1 - p) ln(1 - p) in nats, elementwise; a term whose
+    mass is below 1e-300 counts as 0."""
+    q = 1 - p
+    return -(p * np.log(np.maximum(p, 1e-300)) + q * np.log(np.maximum(q, 1e-300)))
+
+
 def _mi_grid(w0: float, w1: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    cells = ((w0 * (1 - a), w0, 0), (w0 * a, w0, 1),
-             (w1 * (1 - b), w1, 0), (w1 * b, w1, 1))
-    col0 = w0 * (1 - a) + w1 * (1 - b)
-    col1 = w0 * a + w1 * b
-    cols = (col0, col1)
-    out = np.zeros_like(a)
-    for m, row_mass, col_idx in cells:
-        mask = m > 1e-300
-        contrib = np.zeros_like(a)
-        contrib[mask] = m[mask] * np.log(m[mask] / (row_mass * cols[col_idx][mask]))
-        out += contrib
-    return np.maximum(out, 0.0)
+    """I(row; column) of the binary channel taking row 0 (weight w0) to
+    column 1 w.p. a and row 1 (weight w1) w.p. b, over the grid of a (1-d,
+    rows) against b (columns): h(w0 a + w1 b) - w0 h(a) - w1 h(b)."""
+    a, b = a[:, None], b[None, :]
+    return np.maximum(_binary_entropy(w0 * a + w1 * b) - w0 * _binary_entropy(a)
+                      - w1 * _binary_entropy(b), 0.0)
 
 
 def _binary_grid_tables(query: RegionQuery, a_ticks: np.ndarray, b_ticks: np.ndarray):
-    a, b = np.meshgrid(a_ticks, b_ticks, indexing="ij")
+    """MI, CMI and TV to the target over the output channels [[1 - a, a],
+    [1 - b, b]], a from a_ticks (grid rows) and b from b_ticks (columns)."""
+    if a_ticks.size > 64:  # in blocks of 64 rows, whose temporaries stay in cache
+        blocks = [_binary_grid_tables(query, a_ticks[i:i + 64], b_ticks)
+                  for i in range(0, a_ticks.size, 64)]
+        return tuple(np.concatenate(tables) for tables in zip(*blocks))
     pxh = query.p0.probs @ query.obs_channel.rows
-    mi = _mi_grid(pxh[0], pxh[1], a, b)
-    cmi = np.zeros_like(a)
-    for x in range(2):
-        r = query.obs_channel.rows[x]
-        cmi += query.p0.probs[x] * _mi_grid(r[0], r[1], a, b)
+    mi = _mi_grid(pxh[0], pxh[1], a_ticks, b_ticks)
+    cmi = sum(px * _mi_grid(*row, a_ticks, b_ticks)
+              for px, row in zip(query.p0.probs, query.obs_channel.rows))
+    a, b = a_ticks[:, None], b_ticks[None, :]
     target = query.target_joint
-    tv = np.zeros_like(a)
+    tv = np.zeros_like(mi)
     for x in range(2):
         row = query.obs_channel.rows[x]
         out1 = row[0] * a + row[1] * b
@@ -539,12 +543,11 @@ def _binary_grid_tables(query: RegionQuery, a_ticks: np.ndarray, b_ticks: np.nda
 
 
 def _masked_argmin(table: np.ndarray, tv: np.ndarray, delta: float):
-    feasible = tv <= delta + region_mod.FEASIBILITY_SLACK
-    if not feasible.any():
+    masked = np.where(tv <= delta + region_mod.FEASIBILITY_SLACK, table, np.inf).reshape(-1)
+    flat = int(np.argmin(masked))
+    if masked[flat] == np.inf:
         return None, None
-    masked = np.where(feasible, table, np.inf)
-    idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    return float(masked[idx]), idx
+    return float(masked[flat]), np.unravel_index(flat, table.shape)
 
 
 def _grid_oracle(query: RegionQuery, kind: str, delta: float,

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coordsim.coding import (BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
+from coordsim.coding import (CASES, BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
                              binned_specs, decode_binned, direct_specs,
                              run_binned_trial, run_direct_trial)
 from coordsim.harness import ExperimentConfig, run_experiment
@@ -70,10 +70,10 @@ class TestSchemes:
             scheme = DirectSchemeConfig(rates=(0.3, 0.3), slacks=(0.1, 0.1),
                                         epsilon=epsilon, triple=triple)
             specs = direct_specs(scheme, src, 17)
-            for outcome in run_direct_trial(src, scheme, specs, 17, 0, 25, budget=5000):
-                assert outcome.y_seq.shape == (30,)
-                assert set(np.unique(outcome.y_seq)) <= {0, 1}
-                cases.add(outcome.error_case)
+            trials = run_direct_trial(src, scheme, specs, 17, 0, 25, budget=5000)
+            assert trials.y_seq.shape == (25, 30)
+            assert set(np.unique(trials.y_seq)) <= {0, 1}
+            cases.update(CASES[case] for case in trials.case)
         assert ErrorCase.NONE in cases
         assert ErrorCase.A in cases
 
@@ -84,10 +84,10 @@ class TestSchemes:
                                  epsilon=0.9, triple=triple)
         src = SourceConfig(p0=P0_3, obs_channel=OBS_3, L=2, n=5)
         specs = binned_specs(cfg, src, 23)
-        [result] = decode_binned([[0, 1]], cfg, specs)
-        assert result.matches_found >= 0
-        for outcome in run_binned_trial(src, cfg, specs, 23, 0, 20):
-            assert 0.0 <= outcome.tv_realized <= 1.0
+        matches, ys = decode_binned([[0, 1]], cfg, specs)
+        assert matches.shape == (1,) and matches[0] >= 0 and ys.shape == (1, 5)
+        tvs = run_binned_trial(src, cfg, specs, 23, 0, 20).tv
+        assert tvs.shape == (20,) and np.all((0.0 <= tvs) & (tvs <= 1.0))
 
     def test_experiment_aggregates(self):
         triple = ternary_triple()

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coordsim import coding, rng
-from coordsim.coding import (BinnedDecodeResult, BinnedSchemeConfig, CodebookSpec,
+from coordsim.coding import (CASES, BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DirectSchemeConfig,
-                             EncodeResult, ErrorCase, _bit_planes, _first_unique,
+                             EncodeResult, ErrorCase, Trials, _bit_planes, _first_unique,
                              _plane_counts, binned_specs, codeword_block,
                              decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
@@ -136,11 +136,11 @@ class TestEncodeDirect:
                        if is_strongly_typical(draw.xhat_seqs[0], y, cfg.pair_obs_out,
                                               cfg.epsilon)]
             if typical:
-                assert result.found and result.w == typical[0]
+                assert result.index == typical[0]
                 assert result.search_cost == typical[0] + 1
-                checked_nonzero += result.w > 0
+                checked_nonzero += result.index > 0
             else:
-                assert not result.found
+                assert result.index == -1
                 assert result.search_cost == specs[0].num_codewords
         assert checked_nonzero > 0  # some scans had to skip earlier codewords
 
@@ -154,9 +154,9 @@ class TestEncodeDirect:
             assert specs[0].num_codewords == 1
             draw = draw_actions(src, seed, 0)
             result = encode_direct(draw.xhat_seqs[0], cfg, specs[0])
-            if not result.found:
+            if result.index < 0:
                 failures += 1
-                assert result.w is None and not result.budget_hit
+                assert result.index == -1 and not result.budget_hit
         assert failures > 0
 
     def test_budget_stops_scan(self):
@@ -166,9 +166,7 @@ class TestEncodeDirect:
         specs = direct_specs(cfg, src, 3)
         draw = draw_actions(src, 3, 0)
         result = encode_direct(draw.xhat_seqs[0], cfg, specs[0], budget=17)
-        assert not result.found
-        assert result.budget_hit
-        assert result.search_cost == 17
+        assert result == EncodeResult(-1, 17, True)
 
     def test_book_alphabet_must_match_the_design_output_alphabet(self):
         ternary = CodebookSpec(n=12, p_y=Pmf([0.5, 0.0, 0.5]), seed=4, agent_id=0,
@@ -176,10 +174,6 @@ class TestEncodeDirect:
         with pytest.raises(ValueError, match=r"\b3 symbols\b.*\bhas 2$"):
             encode_direct(np.zeros(12, dtype=np.int64), direct_scheme(), ternary)
         assert "_prefix" not in vars(ternary)  # refused before any codeword
-
-    def test_found_result_validates(self):
-        with pytest.raises(ValueError):
-            EncodeResult(w=None, v=None, found=True, search_cost=1)
 
 
 def _reference_scan(xhat, cfg, spec, budget):
@@ -192,10 +186,8 @@ def _reference_scan(xhat, cfg, spec, budget):
     for flat, y in enumerate(codeword_block(spec, np.arange(limit))):
         counts = np.bincount(xhat * sy + y, minlength=sx * sy).reshape(sx, sy)
         if np.all((counts >= lo) & (counts <= hi)):
-            return EncodeResult(w=flat // spec.words_per_bin, v=flat % spec.words_per_bin,
-                                found=True, search_cost=flat + 1)
-    return EncodeResult(w=None, v=None, found=False, search_cost=limit,
-                        budget_hit=limit < spec.num_codewords)
+            return EncodeResult(flat, flat + 1, False)
+    return EncodeResult(-1, limit, limit < spec.num_codewords)
 
 
 def _law(data, size):
@@ -293,7 +285,7 @@ class TestScanPrefixStore:
         cfg = DirectSchemeConfig(rates=(0.35,), slacks=(0.0,), epsilon=0.01, triple=triple)
         xhat = np.zeros(12, dtype=np.int64)
         first = encode_direct(xhat, cfg, spec, budget=3000)
-        assert not first.found and first.search_cost == 3000
+        assert first == EncodeResult(-1, 3000, True)
         assert sum(generated) == 3000
         # batches of 64, 128, ..., 1024 codewords, the last cut at the budget
         ranges = [(0, 64), (64, 192), (192, 448), (448, 960), (960, 1984), (1984, 3000)]
@@ -301,8 +293,7 @@ class TestScanPrefixStore:
         assert encode_direct(xhat, cfg, spec, budget=3000) == first
         assert sum(generated) == 3000
         # another budget cuts its last batch elsewhere: only that batch is new
-        assert encode_direct(xhat, cfg, spec, budget=2000) == \
-            dataclasses.replace(first, search_cost=2000)
+        assert encode_direct(xhat, cfg, spec, budget=2000) == first._replace(search_cost=2000)
         assert sum(generated) == 3000 + 16
         for start, stop in ranges:
             planes = spec._planes(start, stop)
@@ -380,18 +371,31 @@ class TestDecodeDirect:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=3, n=10)
         specs = direct_specs(cfg, src, 21)
-        results = [EncodeResult(w=None, v=None, found=False, search_cost=1),
-                   EncodeResult(w=2, v=0, found=True, search_cost=3),
-                   EncodeResult(w=1, v=0, found=True, search_cost=2)]
-        assert np.array_equal(decode_direct([results], specs), codeword_block(specs[1], [2]))
+        assert np.array_equal(decode_direct([[-1, 2, 1]], specs), codeword_block(specs[1], [2]))
 
     def test_fallback_on_total_failure(self):
         cfg = direct_scheme(agents=2, rate=0.3, epsilon=0.5)
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=10)
         specs = direct_specs(cfg, src, 21)
-        results = [EncodeResult(w=None, v=None, found=False, search_cost=8)] * 2
-        assert np.array_equal(decode_direct([results], specs), codeword_block(specs[0], [0]))
+        assert np.array_equal(decode_direct([[-1, -1]], specs), codeword_block(specs[0], [0]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), agents=st.integers(1, 4), trials=st.integers(1, 8),
+           n=st.integers(1, 12), words=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_each_row_emits_its_first_found_word(self, data, agents, trials, n, words, seed):
+        specs = tuple(CodebookSpec(n=n, p_y=Pmf.uniform(3), seed=seed, agent_id=l,
+                                   num_bins=4, words_per_bin=words) for l in range(agents))
+        entry = st.one_of(st.just(-1), st.integers(0, 4 * words - 1))
+        index = np.array(data.draw(st.lists(st.lists(entry, min_size=agents, max_size=agents),
+                                            min_size=trials, max_size=trials)), dtype=np.int64)
+        emitted = decode_direct(index, specs)
+        assert emitted.dtype == np.int64 and emitted.shape == (trials, n)
+        for row, word in zip(index.tolist(), emitted):
+            # the lowest-indexed agent with index >= 0, else agent 0's word 0
+            agent = next((l for l, flat in enumerate(row) if flat >= 0), None)
+            spec, flat = (specs[0], 0) if agent is None else (specs[agent], row[agent])
+            assert np.array_equal(word, codeword_block(spec, [flat])[0])
 
 
 class TestEncodeBinned:
@@ -407,12 +411,7 @@ class TestEncodeBinned:
             flat_hits = [k for k, y in enumerate(book)
                          if is_strongly_typical(draw.xhat_seqs[0], y, cfg.pair_obs_out,
                                                 cfg.epsilon)]
-            if flat_hits:
-                assert result.found
-                assert (result.w, result.v) == divmod(flat_hits[0],
-                                                      specs[0].words_per_bin)
-            else:
-                assert not result.found
+            assert result.index == (flat_hits[0] if flat_hits else -1)
 
 
 class TestDecodeBinned:
@@ -423,11 +422,10 @@ class TestDecodeBinned:
         specs = binned_specs(cfg, src, 5)
         assert specs[0].words_per_bin == 1
         for w in range(specs[0].num_bins):
-            [result] = decode_binned([[w]], cfg, specs)
-            assert result.matches_found in (0, 1)
-            if result.matches_found == 1:
-                assert result.v_tuple == (0,)
-                assert np.array_equal(result.y_seq, codeword_block(specs[0], [w])[0])
+            [matches], [y_seq] = decode_binned([[w]], cfg, specs)
+            assert matches in (0, 1)
+            if matches == 1:
+                assert np.array_equal(y_seq, codeword_block(specs[0], [w])[0])
 
     def test_planted_unique_tuple_recovered(self):
         # tolerance tight enough that the 12-symbol stacked windows separate
@@ -444,10 +442,9 @@ class TestDecodeBinned:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=6)
         specs = binned_specs(cfg, src, 5)
-        [result] = decode_binned([[0, 0]], cfg, specs)
-        assert result.matches_found > 1
-        assert result.v_tuple is None
-        assert np.array_equal(result.y_seq, codeword_block(specs[0], [0])[0])
+        [matches], [y_seq] = decode_binned([[0, 0]], cfg, specs)
+        assert matches > 1
+        assert np.array_equal(y_seq, codeword_block(specs[0], [0])[0])
 
     def test_no_typical_action_emits_word_0_of_agent_0s_bin(self):
         # at n = 1 the stacked pair has length 2, and no count c puts c / 2
@@ -458,11 +455,11 @@ class TestDecodeBinned:
                            L=2, n=1)
         specs = binned_specs(cfg, src, 5)
         assert specs[0].num_bins == 4 and specs[0].words_per_bin == 3
-        [result] = decode_binned([[2, 1]], cfg, specs)
-        assert result.matches_found == 0 and result.v_tuple is None
-        assert result.y_seq.dtype == np.int64
-        word_0 = codeword_block(specs[0], [2 * specs[0].words_per_bin])[0]
-        assert np.array_equal(result.y_seq, word_0)
+        matches, ys = decode_binned([[2, 1]], cfg, specs)
+        assert matches.tolist() == [0]
+        assert ys.dtype == np.int64
+        word_0 = codeword_block(specs[0], [2 * specs[0].words_per_bin])
+        assert np.array_equal(ys, word_0)
 
     def test_word_tuples_past_the_bound_refused_before_any_codeword(self, monkeypatch):
         # 2048^2 word tuples of 2 positions: twice DECODE_WORK_CAP
@@ -513,20 +510,19 @@ class TestDecodeBinned:
             alone, refused = [], None
             for t, tuple_ in enumerate(bins):
                 try:
-                    alone += decode_binned([tuple_], cfg, specs)
+                    alone.append(decode_binned([tuple_], cfg, specs))
                 except DecoderBudgetExceeded as exc:
                     refused = (t, str(exc))
                     break
             with mock.patch.object(coding, "_CHUNK_POSITIONS", per_pool * positions):
                 try:
-                    block = decode_binned(bins, cfg, specs)
+                    matches, ys = decode_binned(bins, cfg, specs)
                 except DecoderBudgetExceeded as exc:
                     assert (exc.trial_index, str(exc)) == refused
                     return
-        assert refused is None and len(block) == trials
-        for a, b in zip(alone, block):
-            assert (a.matches_found, a.v_tuple) == (b.matches_found, b.v_tuple)
-            assert a.y_seq.tobytes() == b.y_seq.tobytes()
+        assert refused is None and matches.shape == (trials,)
+        assert matches.tolist() == [int(m[0]) for m, _ in alone]
+        assert ys.tobytes() == b"".join(y.tobytes() for _, y in alone)
 
 
 def _instance(law, epsilon, n, agents, words, seed):
@@ -544,11 +540,10 @@ def _assert_matches_literal(bins, cfg, specs):
     checks; returns the number of matching word tuples."""
     n, agents = specs[0].n, len(bins)
     assert _clear_of_ties(cfg.pair_src_out.probs, n * agents, cfg.epsilon)
-    [result] = decode_binned([bins], cfg, specs)
+    [found], [emitted] = decode_binned([bins], cfg, specs)
     matches, y_seq = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
-    assert result.matches_found == len(matches)
-    assert result.v_tuple == (matches[0] if len(matches) == 1 else None)
-    assert np.array_equal(result.y_seq, y_seq)
+    assert found == len(matches)
+    assert np.array_equal(emitted, y_seq)
     return len(matches)
 
 
@@ -652,15 +647,15 @@ def _check_label_table(monkeypatch, scheme):
         decoded = []
 
         def encode(xhat, cfg, spec, budget, found=found):
+            # word 0 of bin 1
             if found[spec.agent_id]:
-                return EncodeResult(w=1, v=0, found=True, search_cost=2)
-            return EncodeResult(w=None, v=None, found=False, search_cost=4)
+                return EncodeResult(spec.words_per_bin, spec.words_per_bin + 1, False)
+            return EncodeResult(-1, 4, False)
 
         def decode(bin_tuples, cfg, specs, matches=matches, decoded=decoded):
-            decoded.extend(bin_tuples)
-            return [BinnedDecodeResult(matches_found=matches, v_tuple=None,
-                                       y_seq=codeword_block(specs[0], [0])[0])
-                    for _ in bin_tuples]
+            decoded.extend(np.asarray(bin_tuples).tolist())
+            return (np.full(len(bin_tuples), matches),
+                    codeword_block(specs[0], np.zeros(len(bin_tuples), dtype=np.int64)))
 
         monkeypatch.setattr(coding, f"encode_{scheme}", encode)
         monkeypatch.setattr(coding, "decode_binned", decode)
@@ -670,9 +665,8 @@ def _check_label_table(monkeypatch, scheme):
         monkeypatch.setattr(coding, "counts_typical", lambda counts, *args, ok=output_ok:
                             np.full(counts.shape[:-2], ok))
         row = (pairs_ok, found, matches, output_ok)
-        [outcome] = run(src, cfg, specs, 3, 0)
-        assert outcome.error_case is label, row
-        assert outcome.search_cost == sum(2 if f else 4 for f in found), row
+        [case] = run(src, cfg, specs, 3, 0).case
+        assert CASES[case] is label, row
         # the joint decoder runs exactly when every binned encoder succeeded
         assert decoded == ([[1, 1]] if scheme == "binned" and all(found) else []), row
 
@@ -691,8 +685,8 @@ class TestClassifier:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=6)
         specs = binned_specs(cfg, src, 8)
-        labels = [outcome.error_case for outcome in run_binned_trial(src, cfg, specs, 8, 0, 60)]
-        assert all(isinstance(lab, ErrorCase) for lab in labels)
+        cases = run_binned_trial(src, cfg, specs, 8, 0, 60).case
+        assert cases.shape == (60,) and set(cases.tolist()) <= set(range(len(CASES)))
 
 
 class TestTrials:
@@ -720,23 +714,19 @@ class TestTrials:
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.4),
                            L=1, n=160)
         specs = direct_specs(cfg, src, 101)
-        successes = 0
-        for outcome in run_direct_trial(src, cfg, specs, 101, 0, 100, budget=50_000):
-            if outcome.error_case is ErrorCase.NONE:
-                successes += 1
-                assert outcome.tv_realized <= cfg.epsilon / 2
-        assert successes > 0
+        trials = run_direct_trial(src, cfg, specs, 101, 0, 100, budget=50_000)
+        success = trials.case == CASES.index(ErrorCase.NONE)
+        assert success.any()
+        assert np.all(trials.tv[success] <= cfg.epsilon / 2)
 
     def test_trial_determinism(self):
         cfg = direct_scheme(agents=2, rate=0.3)
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
                            L=2, n=24)
         specs = direct_specs(cfg, src, 55)
-        [a] = run_direct_trial(src, cfg, specs, 55, 4)
-        [b] = run_direct_trial(src, cfg, specs, 55, 4)
-        assert a.tv_realized == b.tv_realized
-        assert a.error_case == b.error_case
-        assert np.array_equal(a.y_seq, b.y_seq)
+        a = run_direct_trial(src, cfg, specs, 55, 4)
+        b = run_direct_trial(src, cfg, specs, 55, 4)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_report_target_changes_tv_only(self):
         cfg = direct_scheme(rate=0.4)
@@ -745,11 +735,11 @@ class TestTrials:
         specs = direct_specs(cfg, src, 55)
         other = compose_markov(Pmf.uniform(2), CondPmf.binary_flip(0.2),
                                CondPmf.binary_flip(0.45)).pair_marginal(0, 2)
-        [a] = run_direct_trial(src, cfg, specs, 55, 4)
-        [b] = run_direct_trial(src, cfg, specs, 55, 4, report_target=other)
-        assert a.error_case == b.error_case
+        a = run_direct_trial(src, cfg, specs, 55, 4)
+        b = run_direct_trial(src, cfg, specs, 55, 4, report_target=other)
+        assert np.array_equal(a.case, b.case)
         assert np.array_equal(a.y_seq, b.y_seq)
-        assert a.tv_realized != b.tv_realized
+        assert a.tv[0] != b.tv[0]
 
 
     def test_report_target_of_another_shape_is_refused(self):
@@ -774,13 +764,13 @@ class TestTrials:
             return block(spec, flat)
 
         monkeypatch.setattr(coding, "codeword_block", counting)
-        [outcome] = run_binned_trial(src, cfg, specs, 8, 0)
-        assert outcome.error_case in (ErrorCase.A, ErrorCase.B)
+        trials = run_binned_trial(src, cfg, specs, 8, 0)
+        assert CASES[trials.case[0]] in (ErrorCase.A, ErrorCase.B)
         # one single-word book per agent, generated by its scan, and the
         # fallback's word generated once more
         assert generated == [1, 1, 1]
-        assert outcome.y_seq.dtype == np.int64
-        assert np.array_equal(outcome.y_seq, codeword_block(specs[0], [0])[0])
+        assert trials.y_seq.dtype == np.int64
+        assert np.array_equal(trials.y_seq, codeword_block(specs[0], [0]))
 
 
 class TestTrialBlocks:
@@ -805,19 +795,18 @@ class TestTrialBlocks:
                                       triple=compose_markov(src.p0, src.obs_channel,
                                                             CondPmf.binary_flip(0.3)))
             build, run, budget = binned_specs, run_binned_trial, 3
-        alone = [outcome for t in range(trials)
-                 for outcome in run(src, cfg, build(cfg, src, seed), seed, t, budget=budget)]
+        alone = [run(src, cfg, build(cfg, src, seed), seed, t, budget=budget)
+                 for t in range(trials)]
         bounds = [0, *sorted(cuts), trials]
         assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) > per_chunk
         specs = build(cfg, src, seed)
         with mock.patch.object(coding, "_CHUNK_POSITIONS", per_chunk * (src.L + 1) * src.n):
-            blocks = [outcome for lo, hi in zip(bounds, bounds[1:])
-                      for outcome in run(src, cfg, specs, seed, lo, hi - lo, budget=budget)]
-        assert len(blocks) == trials
-        for a, b in zip(alone, blocks):
-            assert np.array_equal(a.y_seq, b.y_seq)
-            assert (a.error_case, a.tv_realized, a.budget_hit, a.search_cost) == \
-                (b.error_case, b.tv_realized, b.budget_hit, b.search_cost)
+            blocks = [run(src, cfg, specs, seed, lo, hi - lo, budget=budget)
+                      for lo, hi in zip(bounds, bounds[1:])]
+        alone, blocks = (Trials(*map(np.concatenate, zip(*runs))) for runs in (alone, blocks))
+        assert alone.case.shape == (trials,)
+        for field in Trials._fields:
+            assert np.array_equal(getattr(alone, field), getattr(blocks, field)), field
 
 
 class TestCaseAFrequency:
@@ -841,8 +830,8 @@ class TestCaseAFrequency:
         bound = num_agents * dt
         specs = direct_specs(cfg, src, 314)
         trials = 300
-        case_a = sum(outcome.error_case is ErrorCase.A
-                     for outcome in run_direct_trial(src, cfg, specs, 314, 0, trials))
+        cases = run_direct_trial(src, cfg, specs, 314, 0, trials).case
+        case_a = np.count_nonzero(cases == CASES.index(ErrorCase.A))
         slack = 3.0 * math.sqrt(max(bound * (1 - min(bound, 1.0)), 1e-12) / trials)
         assert case_a / trials <= bound + slack
 

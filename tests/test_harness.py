@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from coordsim import coding, harness
 from coordsim.coding import (BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
-                             EncodeResult, ErrorCase, codeword_block,
-                             decode_direct, direct_specs)
+                             ErrorCase, codeword_block, decode_direct, direct_specs)
 from coordsim.harness import (ExperimentAborted, ExperimentConfig,
                               ExperimentStats, _split_blocks,
                               run_experiment)
@@ -166,25 +165,23 @@ class TestRunExperiment:
         cfg = direct_config(n=40, L=2, trials=60, rate=0.1, budget=900)
         specs = direct_specs(cfg.scheme, cfg.source, cfg.seed)
         generated = count_generated(monkeypatch)
-        failed = EncodeResult(w=None, v=None, found=False, search_cost=900)
         draw = draw_actions(cfg.source, cfg.seed, np.arange(40))
-        results = [[coding.encode_direct(xhats[l], cfg.scheme, spec, 900)
-                    for l, spec in enumerate(specs)] for xhats in draw.xhat_seqs]
+        index = np.array([[coding.encode_direct(xhats[l], cfg.scheme, spec, 900).index
+                           for l, spec in enumerate(specs)] for xhats in draw.xhat_seqs])
         # the block as scanned, and the same block with every encoder failed
-        for block in (results, [[failed, failed]] * 40):
+        for block in (index, np.full((40, 2), -1)):
             before = sum(generated)
             ys = decode_direct(block, specs)
             # one generated word per trial, whatever the store holds
             assert sum(generated) == before + 40
             assert ys.dtype == np.int64 and ys.shape == (40, cfg.source.n)
-            for y, trial in zip(ys, block):
-                spec, w = next(((s, r.w) for s, r in zip(specs, trial) if r.found),
-                               (specs[0], 0))
+            for y, trial in zip(ys, block.tolist()):
+                spec, w = next(((s, w) for s, w in zip(specs, trial) if w >= 0), (specs[0], 0))
                 assert np.array_equal(y, codeword_block(spec, [w])[0])
         # a word no scan has reached is generated alone
         fresh = direct_specs(cfg.scheme, cfg.source, cfg.seed)
         generated.clear()
-        y = decode_direct([[failed, EncodeResult(w=77, v=0, found=True, search_cost=78)]], fresh)
+        y = decode_direct([[-1, 77]], fresh)
         assert generated == [1] and y.dtype == np.int64
         assert np.array_equal(y, codeword_block(fresh[1], [77]))
 
