@@ -263,10 +263,6 @@ class _SchemeConfig:
     def p_y(self) -> Pmf:
         return self.triple.marginal(2)
 
-    @cached_property
-    def p_x(self) -> Pmf:
-        return self.triple.marginal(0)
-
 
 @dataclass(frozen=True)
 class DirectSchemeConfig(_SchemeConfig):

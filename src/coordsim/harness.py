@@ -19,8 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .coding import (CASES, BinnedSchemeConfig, DecoderBudgetExceeded, DirectSchemeConfig,
-                     Trials, binned_specs, direct_specs, run_binned_trial,
-                     run_direct_trial)
+                     binned_specs, direct_specs, run_binned_trial, run_direct_trial)
 from .probkit import JointPmf
 from .source import SourceConfig
 
@@ -81,18 +80,21 @@ class ExperimentStats:
         return self.error_case_counts.get(label, 0) / self.trials
 
 
-def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> Trials:
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Case codes, TVs and budget stops of trials lo .. hi - 1; the emitted
+    sequences are not returned, so a worker does not pickle them back."""
     if isinstance(cfg.scheme, DirectSchemeConfig):
         build, run = direct_specs, run_direct_trial
     else:
         build, run = binned_specs, run_binned_trial
     specs = build(cfg.scheme, cfg.source, cfg.seed)
     try:
-        return run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
-                   budget=cfg.search_budget, report_target=cfg.target)
+        trials = run(cfg.source, cfg.scheme, specs, cfg.seed, lo, hi - lo,
+                     budget=cfg.search_budget, report_target=cfg.target)
     except DecoderBudgetExceeded as exc:
         raise ExperimentAborted(f"trial {exc.trial_index} of {cfg.trials}: {exc}; shrink n, "
                                 f"L, or the codebook") from exc
+    return trials.case, trials.tv, trials.budget_hit
 
 
 def _quantiles(values: np.ndarray, qs) -> list[float]:
@@ -138,9 +140,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_run_block, itertools.repeat(cfg),
                                     [b[0] for b in blocks], [b[1] for b in blocks]))
-    tvs = np.concatenate([block.tv for block in results])
-    counts = np.bincount(np.concatenate([block.case for block in results]),
-                         minlength=len(CASES))
+    cases, tvs, budget_hits = (np.concatenate(part) for part in zip(*results))
+    counts = np.bincount(cases, minlength=len(CASES))
     quantiles = _quantiles(tvs, (0.5, 0.9, 0.99))
     stderr = float(tvs.std(ddof=1) / math.sqrt(tvs.size)) if tvs.size > 1 else 0.0
     return ExperimentStats(
@@ -149,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         error_case_counts={case.value: int(k) for case, k in zip(CASES, counts)},
         trials=tvs.size,
         wall_time=time.perf_counter() - start,
-        budget_hits=int(sum(block.budget_hit.sum() for block in results)),
+        budget_hits=int(budget_hits.sum()),
         tv_stderr=stderr)
 
 

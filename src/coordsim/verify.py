@@ -20,13 +20,13 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cli, region as region_mod, rng
 from .coding import (CASES, BinnedSchemeConfig, DirectSchemeConfig, ErrorCase,
-                     binned_specs, codeword_block, run_binned_trial)
+                     binned_specs, codeword_block, decode_binned, run_binned_trial)
 from .harness import ExperimentConfig, run_experiment
 from .probkit import (CondPmf, Pmf, compose_markov,
                       conditional_mutual_information, joint_type,
@@ -59,11 +59,6 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _result(criterion: str, start: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(criterion=criterion, passed=passed, detail=detail,
-                       seconds=time.perf_counter() - start)
 
 
 def _all_sequences(size: int, n: int) -> np.ndarray:
@@ -155,9 +150,8 @@ def _oracle_cmi(t: np.ndarray) -> float:
     return total
 
 
-def ac1_probability_kernels() -> CheckResult:
+def ac1_probability_kernels() -> tuple[bool, str]:
     """Joint types, TV, MI, CMI against independent brute force."""
-    start = time.perf_counter()
     failures = []
 
     checked = 0
@@ -184,17 +178,16 @@ def ac1_probability_kernels() -> CheckResult:
 
     detail = (f"{checked} exhaustive type pairs, 1000 random laws"
               if not failures else "; ".join(sorted(set(failures))))
-    return _result("AC1", start, not failures, detail)
+    return not failures, detail
 
 
 # ---------------------------------------------------------------------------
 # AC2: typicality membership vs the literal definition
 # ---------------------------------------------------------------------------
 
-def ac2_typicality_definition() -> CheckResult:
+def ac2_typicality_definition() -> tuple[bool, str]:
     """is_strongly_typical agrees with the definitional check for every
     binary pair up to n=8 at three tolerances."""
-    start = time.perf_counter()
     probs = _AC2_JOINT
     mismatches = 0
     total = 0
@@ -222,7 +215,7 @@ def ac2_typicality_definition() -> CheckResult:
                     mismatches += 1
     detail = f"{total} memberships across eps in (0.05, 0.1, 0.3)" if not mismatches \
         else f"{mismatches} disagreements"
-    return _result("AC2", start, mismatches == 0, detail)
+    return mismatches == 0, detail
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +243,9 @@ def _typicality_rate(probs, n, trials, epsilon, seed):
     return ok_total / trials
 
 
-def ac3_typical_set_bounds() -> CheckResult:
+def ac3_typical_set_bounds() -> tuple[bool, str]:
     """Probability lower bound where it binds, and the cardinality bound by
     exhaustive enumeration at n=8."""
-    start = time.perf_counter()
     probs = _AC3_JOINT
     issues = []
 
@@ -280,16 +272,15 @@ def ac3_typical_set_bounds() -> CheckResult:
 
     detail = "probability bound (vacuous at n=400, binding at n=250000) and " \
              "exhaustive n=8 cardinality" if not issues else "; ".join(issues)
-    return _result("AC3", start, not issues, detail)
+    return not issues, detail
 
 
 # ---------------------------------------------------------------------------
 # AC4: conditioning never raises the chain information
 # ---------------------------------------------------------------------------
 
-def ac4_markov_information_ordering() -> CheckResult:
+def ac4_markov_information_ordering() -> tuple[bool, str]:
     """I(obs; out | action) <= I(obs; out) on 1000 random chain triples."""
-    start = time.perf_counter()
     generator = np.random.default_rng(404)
     worst = -math.inf
     for _ in range(1000):
@@ -302,8 +293,7 @@ def ac4_markov_information_ordering() -> CheckResult:
         gap = conditional_mutual_information(triple) \
             - mutual_information(triple.pair_marginal(1, 2).probs)
         worst = max(worst, gap)
-    passed = worst <= INFO_TOL
-    return _result("AC4", start, passed, f"max CMI - MI gap {worst:.3e}")
+    return worst <= INFO_TOL, f"max CMI - MI gap {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +313,9 @@ def _ac5_config(n: int) -> ExperimentConfig:
         scheme=scheme, trials=200, seed=AC5_SEED, search_budget=50_000)
 
 
-def ac5_direct_scheme_trend() -> CheckResult:
+def ac5_direct_scheme_trend() -> tuple[bool, str]:
     """Mean TV strictly decreasing over n in {40, 80, 160}; encoder-failure
     fraction below 10% and mean TV under the golden ceiling at n=160."""
-    start = time.perf_counter()
     stats = {n: run_experiment(_ac5_config(n)) for n in (40, 80, 160)}
     means = [stats[n].mean_tv for n in (40, 80, 160)]
     case_b = stats[160].case_fraction(ErrorCase.B.value)
@@ -340,7 +329,7 @@ def ac5_direct_scheme_trend() -> CheckResult:
                       f"{AC5_GOLDEN_MEAN_TV_N160} at n=160")
     detail = (f"mean TV {means[0]:.4f} > {means[1]:.4f} > {means[2]:.4f}, "
               f"P(B)@160 = {case_b:.3f}") if not issues else "; ".join(issues)
-    return _result("AC5", start, not issues, detail)
+    return not issues, detail
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +422,17 @@ def _oracle_decode(bins, cfg, specs, books):
     return matches, books[0][bins[0] * words]
 
 
-def ac6_binned_decoder_oracle() -> CheckResult:
+def ac6_binned_decoder_oracle() -> tuple[bool, str]:
     """Binned decoding agrees exactly with a literal exhaustive oracle, both
     on raw bin tuples and through full trials.
 
     The codebook seed advances with the trial index so the comparisons range
-    over codebook realizations, not just source noise.
+    over codebook realizations, not just source noise.  Book sizes depend
+    only on n and the rates, so each agent count's books are sized once.
     """
-    from .coding import decode_binned
-
     n = 6
     seed = 606
     trials_each = 170
-    start = time.perf_counter()
     mismatches = 0
     match_coverage: dict[int, int] = {}
     label_counts: dict[str, int] = {}
@@ -454,13 +441,14 @@ def ac6_binned_decoder_oracle() -> CheckResult:
     cfg = _ac6_scheme(epsilon=0.5)
     for num_agents in (1, 2, 3):
         _assert_no_boundary_ties(cfg.pair_src_out.probs, n * num_agents, cfg.epsilon)
-        source_cfg = SourceConfig(p0=cfg.p_x, obs_channel=CondPmf.binary_flip(0.2),
-                                  L=num_agents, n=n)
+        source_cfg = SourceConfig(p0=cfg.triple.marginal(0),
+                                  obs_channel=CondPmf.binary_flip(0.2), L=num_agents, n=n)
+        sized = binned_specs(cfg, source_cfg, seed)
         key = rng.derive_key(seed, 61, num_agents)
         draws = rng.uniforms(key, np.arange(trials_each * num_agents, dtype=np.uint64))
         bins_table = (draws.reshape(trials_each, num_agents) * 4).astype(np.int64)
         for trial in range(trials_each):
-            specs = binned_specs(cfg, source_cfg, seed + trial)
+            specs = tuple(replace(spec, seed=seed + trial) for spec in sized)
             bins = list(bins_table[trial])
             [matches], [y_seq] = decode_binned([bins], cfg, specs)
             oracle_matches, oracle_y = _oracle_decode(bins, cfg, specs, _oracle_books(specs))
@@ -479,11 +467,12 @@ def ac6_binned_decoder_oracle() -> CheckResult:
         _assert_no_boundary_ties(cfg.pair_src_obs.probs, n, epsilon / 4.0)
         for num_agents in (1, 2, 3):
             _assert_no_boundary_ties(cfg.pair_src_out.probs, n * num_agents, epsilon)
-            source_cfg = SourceConfig(p0=cfg.p_x,
+            source_cfg = SourceConfig(p0=cfg.triple.marginal(0),
                                       obs_channel=CondPmf.binary_flip(obs_flip),
                                       L=num_agents, n=n)
+            sized = binned_specs(cfg, source_cfg, seed)
             for trial in range(trials_each):
-                specs = binned_specs(cfg, source_cfg, seed + trial)
+                specs = tuple(replace(spec, seed=seed + trial) for spec in sized)
                 outcome = run_binned_trial(source_cfg, cfg, specs, seed, trial)
                 label, y_oracle = _oracle_binned_trial(source_cfg, cfg, specs,
                                                        seed, trial)
@@ -497,7 +486,7 @@ def ac6_binned_decoder_oracle() -> CheckResult:
               f"{[match_coverage.get(k, 0) for k in (0, 1, 2)]}, trial labels "
               f"{dict(sorted(label_counts.items()))}") \
         if not mismatches else f"{mismatches}/{total} disagreements"
-    return _result("AC6", start, mismatches == 0, detail)
+    return mismatches == 0, detail
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +603,9 @@ def _ac7_queries(count: int = 20):
     return queries, deltas
 
 
-def ac7_region_solver_vs_grid() -> CheckResult:
+def ac7_region_solver_vs_grid() -> tuple[bool, str]:
     """Solver optima within 1e-4 nats of a step-1e-3 exhaustive grid, curves
     non-increasing, and exact zero rate at delta >= 1."""
-    start = time.perf_counter()
     issues = []
     queries, deltas = _ac7_queries()
     coarse_ticks = np.linspace(0.0, 1.0, 1001)
@@ -654,17 +642,16 @@ def ac7_region_solver_vs_grid() -> CheckResult:
 
     detail = f"{len(queries)} queries x {len(deltas)} radii x 2 objectives" \
         if not issues else "; ".join(issues[:4])
-    return _result("AC7", start, not issues, detail)
+    return not issues, detail
 
 
 # ---------------------------------------------------------------------------
 # AC8: exact-fidelity reduction
 # ---------------------------------------------------------------------------
 
-def ac8_zero_delta_consistency() -> CheckResult:
+def ac8_zero_delta_consistency() -> tuple[bool, str]:
     """For an exactly reachable target the delta=0 minimized rates coincide
     with the rates evaluated at the matching channel."""
-    start = time.perf_counter()
     p0 = Pmf([0.55, 0.45])
     obs = CondPmf.binary_flip(0.2)
     q_true = CondPmf([[0.85, 0.15], [0.10, 0.90]])
@@ -687,7 +674,7 @@ def ac8_zero_delta_consistency() -> CheckResult:
     detail = (f"finite {fin.rate:.6f} == {fin_expected:.6f}, "
               f"per-agent {per.rate:.6f} == {per_expected:.6f}") \
         if not issues else "; ".join(issues)
-    return _result("AC8", start, not issues, detail)
+    return not issues, detail
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +694,8 @@ _AC9_SPEC = {
 }
 
 
-def ac9_replay_determinism() -> CheckResult:
+def ac9_replay_determinism() -> tuple[bool, str]:
     """cmd_simulate output is byte-identical across reruns and worker counts."""
-    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         spec_path = os.path.join(tmp, "spec.json")
         with open(spec_path, "w", encoding="utf-8") as handle:
@@ -719,13 +705,13 @@ def ac9_replay_determinism() -> CheckResult:
             out_path = os.path.join(tmp, f"out_{tag}.csv")
             code = cli.cmd_simulate(spec_path, out_path, workers=workers)
             if code != 0:
-                return _result("AC9", start, False, f"simulate exit code {code}")
+                return False, f"simulate exit code {code}"
             with open(out_path, "rb") as handle:
                 outputs.append(handle.read())
     identical = outputs[0] == outputs[1] == outputs[2]
     detail = f"{len(outputs[0])} bytes identical across workers 1/4 and replay" \
         if identical else "outputs differ"
-    return _result("AC9", start, identical, detail)
+    return identical, detail
 
 
 _CHECKS = (
@@ -746,11 +732,14 @@ def criterion_ids() -> tuple[str, ...]:
 
 
 def run_all(only=None) -> list[CheckResult]:
-    """Execute the acceptance checks (optionally a subset) in order."""
+    """Execute the acceptance checks (optionally a subset) in order, timing
+    each; a check returns (passed, detail)."""
     wanted = {name.strip().upper() for name in only} if only else None
     results = []
     for name, check in _CHECKS:
         if wanted is not None and name not in wanted:
             continue
-        results.append(check())
+        start = time.perf_counter()
+        passed, detail = check()
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results

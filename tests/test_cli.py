@@ -550,7 +550,7 @@ class TestVerifyCommand:
         from coordsim import verify
 
         def broken():
-            return verify.CheckResult("AC4", False, "tampered tolerance", 0.0)
+            return False, "tampered tolerance"
 
         monkeypatch.setattr(verify, "_CHECKS", (("AC4", broken),))
         assert cli.cmd_verify(only=["AC4"]) == 1

@@ -20,7 +20,7 @@ from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type
                               tv_distance)
 from coordsim.source import SourceConfig, draw_actions
 from coordsim.typicality import count_bounds, is_strongly_typical
-from coordsim.verify import _clear_of_ties, _oracle_books, _oracle_decode
+from coordsim.verify import _ac6_scheme, _clear_of_ties, _oracle_books, _oracle_decode
 
 
 def direct_scheme(rate=0.35, slack=0.0, epsilon=0.5, obs_flip=0.2, aux_flip=0.3,
@@ -83,6 +83,25 @@ class TestCodebookSpec:
                 assert coding._floor_exp(x) == max(
                     (m for m in near if ln[m] <= exact), default=0)
                 assert coding._ceil_exp(x) == min(m for m in near if ln[m] >= exact)
+
+
+@pytest.mark.parametrize("agents", [1, 3])
+def test_reseeded_specs_equal_fresh_ones(agents):
+    # AC6 sizes its books once and re-seeds them per trial; the sized books'
+    # scan stores are warmed first, and a re-seeded book must not inherit them
+    cfg = _ac6_scheme(epsilon=0.5)
+    src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2), L=agents, n=6)
+    sized = binned_specs(cfg, src, 606)
+    for spec in sized:
+        spec._planes(0, spec.num_codewords)
+    for seed in (606, 607, 775):
+        fresh = binned_specs(cfg, src, seed)
+        reseeded = tuple(dataclasses.replace(spec, seed=seed) for spec in sized)
+        assert reseeded == fresh
+        for a, b in zip(reseeded, fresh):
+            assert np.array_equal(a._planes(0, a.num_codewords), b._planes(0, b.num_codewords))
+            flat = np.arange(a.num_codewords)
+            assert np.array_equal(codeword_block(a, flat), codeword_block(b, flat))
 
 
 class TestCodewords:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -184,6 +185,12 @@ class TestRunExperiment:
         y = decode_direct([[-1, 77]], fresh)
         assert generated == [1] and y.dtype == np.int64
         assert np.array_equal(y, codeword_block(fresh[1], [77]))
+
+    def test_worker_block_result_pickles_small(self):
+        # the direct-short benchmark cell at n=160: its 500 emitted sequences
+        # alone pickle to about 640 KB, the three arrays read back to 9 KB
+        cfg = direct_config(n=160, L=2, trials=500, budget=5_000)
+        assert len(pickle.dumps(harness._run_block(cfg, 0, cfg.trials))) < 16_384
 
     def test_binned_scheme_runs(self):
         stats = run_experiment(binned_config())
