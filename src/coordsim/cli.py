@@ -4,10 +4,11 @@
     coordsim region   --spec spec.json --out region.csv
     coordsim verify   [--only AC1,AC7]
 
-Exit codes: 0 success, 1 failed verification, 2 spec/validation error,
-3 decoder-limit abort.  An --out path whose directory does not exist, or a
-CSV that cannot be written, exits 2; the directory is checked before any
-work starts.  CSV output is UTF-8 with LF line endings and a
+Exit codes: 0 success, 1 failed verification or standard output closed
+early (a pipe's reader went away; files already written stay whole),
+2 spec/validation error, 3 decoder-limit abort.  An --out path whose
+directory does not exist, or a CSV that cannot be written, exits 2; the
+directory is checked before any work starts.  CSV output is UTF-8 with LF line endings and a
 versioned header comment; every random quantity traces to seeds recorded in
 the spec, so a rerun with the same spec is byte-identical.  Wall-clock
 timings are left blank unless --timings is passed, because measured times
@@ -240,13 +241,21 @@ def main(argv: list[str] | None = None) -> int:
                      help="comma-separated criterion ids, e.g. AC1,AC4")
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.spec, args.out, workers=args.workers,
-                            seed_override=args.seed_override, timings=args.timings)
-    if args.command == "region":
-        return cmd_region(args.spec, args.out)
-    only = args.only.split(",") if args.only else None
-    return cmd_verify(only=only)
+    try:
+        if args.command == "simulate":
+            code = cmd_simulate(args.spec, args.out, workers=args.workers,
+                                seed_override=args.seed_override, timings=args.timings)
+        elif args.command == "region":
+            code = cmd_region(args.spec, args.out)
+        else:
+            code = cmd_verify(only=args.only.split(",") if args.only else None)
+        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader of stdout went away: send the rest to devnull, so the
+        # interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
+    return code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,14 +216,31 @@ def _lifted_polytope(query: RegionQuery, radius: float | None = None,
 
 
 def _closest_channel(query: RegionQuery, classes: np.ndarray) -> tuple[float, np.ndarray]:
-    """TV to the target of the closest channel classes @ r, and that channel:
-    TV is piecewise linear in r, so this is one linear program."""
+    """TV to the target of the closest channel classes @ r, and that channel
+    (read-only): TV is piecewise linear in r, so this is one linear program.
+
+    The program does not depend on the radius, so it is solved once per
+    (p0, observation channel, target, class map) and kept in a bounded
+    cache: the fidelity floor and the zero-rate faces of one query are
+    posed once however many radii are solved."""
+    arrays = (query.p0.probs, query.obs_channel.rows, query.target.rows, classes)
+    return _closest_cached(*((arr.tobytes(), arr.shape) for arr in arrays))
+
+
+@lru_cache(maxsize=128)
+def _closest_cached(p0, obs, target, classes) -> tuple[float, np.ndarray]:
+    # every key array is float64: Pmf and CondPmf store float64, and the
+    # class maps are rows of np.eye
+    p0, obs, target, classes = (np.frombuffer(data).reshape(shape)
+                                for data, shape in (p0, obs, target, classes))
+    query = RegionQuery(Pmf(p0), CondPmf(obs), CondPmf(target))
     polytope = _lifted_polytope(query, classes=classes)
     n_r = classes.shape[1] * query.out_size
     c = np.concatenate([np.zeros(n_r), np.full(polytope["A_eq"].shape[1] - n_r, 0.5)])
     x, _ = linprog(c, **polytope)
     rows = np.clip(x[:n_r].reshape(-1, query.out_size), 0.0, None)
     q_arr = classes @ (rows / rows.sum(axis=1, keepdims=True))
+    q_arr.setflags(write=False)
     return _tv_to_target(q_arr, query), q_arr
 
 

@@ -581,3 +581,20 @@ class TestMainEntry:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # the reader of stdout is gone before the command prints: the CSV is
+        # still written whole, and the command exits 1 with nothing on stderr
+        spec_path = write_spec(tmp_path, base_spec())
+        piped, direct = tmp_path / "piped.csv", tmp_path / "direct.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "coordsim.cli", "region",
+                                 "--spec", spec_path, "--out", str(piped)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_FAILED
+        assert err == b""
+        assert cli.cmd_region(spec_path, str(direct)) == cli.EXIT_OK
+        assert piped.read_bytes() == direct.read_bytes()

@@ -242,6 +242,84 @@ class TestRateDeltaCurve:
                 assert point.gap == alone.gap
 
 
+def block_query():
+    """A 3-symbol query whose floor and two zero-rate faces pose three
+    different class maps: the identity, two blocks (per-agent) and one
+    class (finite)."""
+    return RegionQuery(p0=Pmf([0.2, 0.3, 0.5]),
+                       obs_channel=CondPmf([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0],
+                                            [0.0, 0.0, 1.0]]),
+                       target=CondPmf([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9]]))
+
+
+class TestRadiusFreeLPsPosedOnce:
+    """The floor and zero-rate face LPs do not depend on the radius: each
+    (query, class map) is solved once and served from a bounded cache."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        region._closest_cached.cache_clear()
+
+    def test_curve_poses_each_radius_free_lp_once(self, monkeypatch):
+        query = block_query()
+        simplex = region.linprog
+        radius_free, gap_lps = [], 0
+
+        def recording(c, **polytope):
+            nonlocal gap_lps
+            # a gap LP carries the radius row after the 2 |X| |Y| slack rows
+            if len(polytope["b_ub"]) == 2 * query.p0.size * query.out_size:
+                radius_free.append(len(polytope["b_eq"]))   # rows of q: classes
+            else:
+                gap_lps += 1
+            return simplex(c, **polytope)
+
+        monkeypatch.setattr(region, "linprog", recording)
+        # below the floor; above it, but reaching neither face; reaching the
+        # per-agent face only; reaching both faces
+        curve = rate_delta_curve(query, [0.0, 0.01, 0.1, 0.4])
+        # the floor (3 classes), the per-agent face (2), the finite face (1)
+        assert sorted(radius_free) == [1, 2, 3]
+        positive = [point for pt in curve for point in (pt.per_agent, pt.finite)
+                    if point.feasible and point.rate > 0.0]
+        assert gap_lps == len(positive) == 3
+
+    def test_curve_points_equal_cold_standalone_solves(self):
+        query = block_query()
+        curve = rate_delta_curve(query, [0.0, 0.01, 0.1, 0.4])
+        for pt in curve:
+            for kind, solve in SOLVERS:
+                region._closest_cached.cache_clear()
+                point, alone = getattr(pt, kind), solve(dataclasses.replace(query, delta=pt.delta))
+                assert point.rate == alone.rate
+                assert point.q_star.rows.tobytes() == alone.q_star.rows.tobytes()
+                assert point.achieved_tv == alone.achieved_tv
+                assert point.gap == alone.gap
+
+    def test_returned_channel_is_read_only(self):
+        query = block_query()
+        _, q_arr = region._closest_channel(query, np.eye(query.obs_size))
+        with pytest.raises(ValueError):
+            q_arr[0, 0] = 0.5
+
+    def test_target_and_class_map_are_in_the_key(self):
+        query = block_query()
+        other = dataclasses.replace(query, target=CondPmf([[0.5, 0.5], [0.8, 0.2],
+                                                           [0.1, 0.9]]))
+        identity = np.eye(query.obs_size)
+        blocks = region._zero_rate_classes("per_agent", query)
+        served = [region._closest_channel(*args) for args in
+                  ((query, identity), (other, identity), (query, blocks))]
+        assert region._closest_cached.cache_info().currsize == 3
+        for args, (tv, q_arr) in zip(((query, identity), (other, identity),
+                                      (query, blocks)), served):
+            region._closest_cached.cache_clear()
+            cold_tv, cold_q = region._closest_channel(*args)
+            assert tv == cold_tv
+            assert q_arr.tobytes() == cold_q.tobytes()
+        assert served[0][0] != served[1][0] and served[0][0] != served[2][0]
+
+
 class TestQueryValidation:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -465,6 +543,8 @@ def test_solver_lps_match_highs():
     @given(query=queries_with_zeros(), above_floor=st.floats(0.0, 0.1))
     def check(query, above_floor):
         posed.clear()
+        # a warm cache would serve the radius-free LPs of an earlier example
+        region._closest_cached.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(region, "linprog", recording)
             # radii just above the floor keep most rates positive
