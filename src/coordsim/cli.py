@@ -6,26 +6,27 @@
 
 Exit codes: 0 success, 1 failed verification or standard output closed
 early (a pipe's reader went away; files already written stay whole),
-2 spec/validation error, 3 decoder-limit abort.  An --out path whose
-directory does not exist, or a CSV that cannot be written, exits 2; the
-directory is checked before any work starts.  CSV output is UTF-8 with LF line endings and a
-versioned header comment; every random quantity traces to seeds recorded in
-the spec, so a rerun with the same spec is byte-identical.  Wall-clock
-timings are left blank unless --timings is passed, because measured times
-would break replay comparisons.
+2 spec/validation error, 3 decoder-limit abort.  An --out path that names
+a directory or whose directory does not exist, or a CSV that cannot be
+written, exits 2; the path is checked before any work starts.  CSV output
+is UTF-8 with LF line endings and a versioned header comment; every
+random quantity traces to seeds recorded in the spec, so a rerun with the
+same spec is byte-identical.  Wall-clock timings are left blank unless
+--timings is passed, because measured times would break replay comparisons.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import os
 import sys
+import time
 
 from .harness import (ExperimentAborted, ExperimentConfig, ExperimentStats,
                       run_experiment)
-from .probkit import CondPmf
 from .runspec import RunSpec, SpecError, load_runspec, read_seed
 
 EXIT_OK = 0
@@ -52,30 +53,10 @@ def _spec_digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()[:16]
 
 
-def _aux_for_delta(spec: RunSpec, delta: float, cache: dict) -> CondPmf:
-    """Auxiliary output channel for one fidelity radius.
-
-    An explicit scheme.aux_channel wins; otherwise the channel is the region
-    solver's rate minimizer for the scheme's own objective (best-effort
-    fidelity minimizer when the radius is infeasible).
-    """
-    if spec.aux_channel is not None:
-        return spec.aux_channel
-    if delta in cache:
-        return cache[delta]
-    from . import region
-
-    query = spec.region_query(delta)
-    solve = (region.min_finite_agent_rate if spec.scheme_kind == "direct"
-             else region.min_per_agent_rate)
-    point = solve(query)
-    cache[delta] = point.q_star
-    return point.q_star
-
-
 def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
                  seed_override: int | None = None, timings: bool = False) -> int:
-    """Run the experiment grid of a spec and write one CSV row per cell."""
+    """Run the experiment grid of a spec and write one CSV row per cell;
+    the radii of one (n, L) that share a channel share one run."""
     if workers < 1:
         print(f"error: --workers must be at least 1, got {workers}", file=sys.stderr)
         return EXIT_SPEC
@@ -89,26 +70,38 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
         return EXIT_SPEC
     digest = _spec_digest(spec_path)
 
-    aux_cache: dict = {}
     lines = [f"# {SIMULATE_CSV_VERSION}",
              f"# spec_sha256={digest} seed={seed}",
              ",".join(SIMULATE_COLUMNS)]
     try:
-        for n in spec.n_list:
-            for L in spec.L_list:
-                for delta in spec.delta_list:
-                    aux = _aux_for_delta(spec, delta, aux_cache)
+        # the auxiliary channel of each radius: the pinned scheme.aux_channel,
+        # or the region solver's rate minimizer for the scheme's own
+        # objective (best-effort fidelity minimizer when infeasible)
+        if spec.aux_channel is not None:
+            channels = dict.fromkeys(spec.delta_list, spec.aux_channel)
+        else:
+            from . import region
+
+            solve = (region.min_finite_agent_rate if spec.scheme_kind == "direct"
+                     else region.min_per_agent_rate)
+            channels = {delta: solve(spec.region_query(delta)).q_star
+                        for delta in spec.delta_list}
+        for n, L in itertools.product(spec.n_list, spec.L_list):
+            # one run per channel object, shared by every radius that maps
+            # to it: all of them when the channel is pinned
+            runs = {}
+            for delta in spec.delta_list:
+                aux = channels[delta]
+                if id(aux) not in runs:
                     scheme = spec.scheme_config(L, aux)
-                    cfg = ExperimentConfig(
-                        source=spec.source_config(n, L),
-                        scheme=scheme,
-                        trials=spec.trials,
-                        seed=seed,
-                        target=spec.target_joint(),
-                        search_budget=spec.budget)
+                    cfg = ExperimentConfig(source=spec.source_config(n, L), scheme=scheme,
+                                           trials=spec.trials, seed=seed,
+                                           target=spec.target_joint(), search_budget=spec.budget)
+                    start = time.perf_counter()
                     stats = run_experiment(cfg, workers=workers)
-                    lines.append(_simulate_row(n, L, spec, scheme, delta, seed,
-                                               stats, timings))
+                    wall = _fmt(time.perf_counter() - start) if timings else ""
+                    runs[id(aux)] = scheme, stats, wall
+                lines.append(_simulate_row(n, L, spec, delta, seed, *runs[id(aux)]))
     except ExperimentAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DECODER_LIMIT
@@ -118,14 +111,13 @@ def cmd_simulate(spec_path: str, out_path: str, workers: int = 1,
     return _write_lines(out_path, lines)
 
 
-def _simulate_row(n: int, L: int, spec: RunSpec, scheme, delta: float,
-                  seed: int, stats: ExperimentStats, timings: bool) -> str:
+def _simulate_row(n: int, L: int, spec: RunSpec, delta: float, seed: int,
+                  scheme, stats: ExperimentStats, wall: str) -> str:
     if spec.scheme_kind == "direct":
         rates = ";".join(_fmt(r) for r in scheme.rates)
     else:
         rates = ";".join((_fmt(scheme.rate_bin), _fmt(scheme.rate_word)))
     counts = stats.error_case_counts
-    wall = _fmt(stats.wall_time) if timings else ""
     fields = (str(n), str(L), spec.scheme_kind, rates, _fmt(scheme.epsilon),
               _fmt(delta), str(stats.trials), str(seed),
               _fmt(stats.mean_tv), _fmt(stats.q50), _fmt(stats.q90), _fmt(stats.q99),
@@ -202,6 +194,8 @@ def cmd_verify(only: list[str] | None = None) -> int:
 
 
 def _check_out_dir(path: str) -> None:
+    if os.path.isdir(path):
+        raise SpecError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise SpecError(f"output directory {directory} does not exist")

@@ -723,6 +723,8 @@ def _run_trials(encode, decode, source_cfg: SourceConfig, cfg, specs, seed: int,
     decoded.  A trial's label is A if some source pair is atypical, else
     that case, else none or D by the output test.
     """
+    if count < 1:
+        raise ValueError(f"trial count must be >= 1, got {count}")
     pair = cfg.pair_src_out
     target = report_target if report_target is not None else pair
     if target.shape != pair.shape:

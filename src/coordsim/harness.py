@@ -2,16 +2,15 @@
 
 Runs seeded independent trials of either coding scheme for one grid cell
 and aggregates the realized total-variation distances and error-case
-counts; `coordsim simulate` walks the spec's grid one cell at a time.
-Per-trial randomness is counter-derived from (seed, trial index), so
-results are bit-identical under any worker count.
+counts; `coordsim simulate` runs one experiment per distinct cell of the
+spec's grid.  Per-trial randomness is counter-derived from (seed, trial
+index), so results are bit-identical under any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -64,7 +63,6 @@ class ExperimentStats:
     q99: float
     error_case_counts: Mapping[str, int]
     trials: int
-    wall_time: float
     budget_hits: int
     tv_stderr: float
 
@@ -128,7 +126,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    start = time.perf_counter()
     blocks = _split_blocks(cfg.trials, workers)
     if len(blocks) == 1:
         results = [_run_block(cfg, lo, hi) for lo, hi in blocks]
@@ -149,7 +146,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
         q50=quantiles[0], q90=quantiles[1], q99=quantiles[2],
         error_case_counts={case.value: int(k) for case, k in zip(CASES, counts)},
         trials=tvs.size,
-        wall_time=time.perf_counter() - start,
         budget_hits=int(budget_hits.sum()),
         tv_stderr=stderr)
 

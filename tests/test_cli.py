@@ -222,12 +222,66 @@ class TestSimulateCommand:
         assert len(out1.read_text().splitlines()) == 4
 
     def test_timings_flag_populates_wall_column(self, tmp_path):
-        spec_path = write_spec(tmp_path, base_spec())
+        spec_path = write_spec(tmp_path, grid_spec())
         out = tmp_path / "a.csv"
         assert cli.cmd_simulate(spec_path, str(out), timings=True) == 0
-        row = out.read_text().splitlines()[3].split(",")
-        assert row[-1] != ""
-        assert float(row[-1]) >= 0.0
+        walls = [line.split(",")[-1] for line in out.read_text().splitlines()[3:]]
+        assert len(walls) == 12 and all(float(wall) >= 0.0 for wall in walls)
+        # the rows of one cell report the one run they share
+        assert all(len(set(walls[3 * cell:3 * cell + 3])) == 1 for cell in range(4))
+
+    def test_pinned_radii_share_one_run_per_cell(self, tmp_path, monkeypatch):
+        runs = counting_runs(monkeypatch)
+        spec_path = write_spec(tmp_path, grid_spec())
+        out = tmp_path / "a.csv"
+        assert cli.cmd_simulate(spec_path, str(out)) == 0
+        assert len(runs) == 4
+        rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+        delta = cli.SIMULATE_COLUMNS.index("delta")
+        assert [row[delta] for row in rows] == ["0.1", "0.2", "0.3"] * 4
+        for cell in range(4):
+            first, *others = rows[3 * cell:3 * cell + 3]
+            for row in others:
+                assert row[:delta] + row[delta + 1:] == first[:delta] + first[delta + 1:]
+
+    def test_solver_driven_radii_solve_once_each(self, tmp_path, monkeypatch):
+        runs = counting_runs(monkeypatch)
+        solves = []
+        solve = region_mod.min_finite_agent_rate
+
+        def counting_solve(query):
+            solves.append(query.delta)
+            return solve(query)
+
+        monkeypatch.setattr(region_mod, "min_finite_agent_rate", counting_solve)
+        document = grid_spec()
+        del document["scheme"]["aux_channel"]
+        document["experiment"]["delta_list"] = [0.2, 0.3]
+        spec_path = write_spec(tmp_path, document)
+        assert cli.cmd_simulate(spec_path, str(tmp_path / "a.csv")) == 0
+        assert solves == [0.2, 0.3]
+        assert len(runs) == 8
+
+
+def grid_spec():
+    """A pinned-channel grid of 2 blocklengths x 2 agent counts x 3 radii."""
+    document = base_spec()
+    document["experiment"].update(n_list=[12, 16], L_list=[1, 2], trials=6,
+                                  delta_list=[0.1, 0.2, 0.3])
+    return document
+
+
+def counting_runs(monkeypatch) -> list:
+    """Patch cli.run_experiment to record each config it runs."""
+    runs = []
+    run = cli.run_experiment
+
+    def counting_run(cfg, workers=1):
+        runs.append(cfg)
+        return run(cfg, workers=workers)
+
+    monkeypatch.setattr(cli, "run_experiment", counting_run)
+    return runs
 
 
 class TestRegionCommand:
@@ -281,16 +335,21 @@ def test_non_finite_number_exit_2(tmp_path, capsys, command, path, literal):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
-                         ids=["simulate", "region"])
-def test_missing_out_directory_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                      command):
-    def no_work(*args, **kwargs):
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every Monte Carlo run and solver call fail the test."""
+    def fail(*args, **kwargs):
         raise AssertionError("work started for an unwritable --out")
 
-    monkeypatch.setattr(cli, "run_experiment", no_work)
-    monkeypatch.setattr(region_mod, "rate_delta_curve", no_work)
-    monkeypatch.setattr(region_mod, "min_achievable_delta", no_work)
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    for name in ("rate_delta_curve", "min_achievable_delta", "min_finite_agent_rate",
+                 "min_per_agent_rate"):
+        monkeypatch.setattr(region_mod, name, fail)
+
+
+@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
+                         ids=["simulate", "region"])
+def test_missing_out_directory_exit_2_before_any_work(tmp_path, capsys, no_work, command):
     spec_path = write_spec(tmp_path, base_spec())
     out = tmp_path / "missing" / "out.csv"
     assert command(spec_path, str(out)) == 2
@@ -302,14 +361,27 @@ def test_missing_out_directory_exit_2_before_any_work(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
                          ids=["simulate", "region"])
+def test_out_naming_a_directory_exit_2_before_any_work(tmp_path, capsys, no_work, command):
+    # without a pinned channel, simulate's first work is a solver call
+    document = base_spec()
+    del document["scheme"]["aux_channel"]
+    spec_path = write_spec(tmp_path, document)
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert command(spec_path, str(out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory\n"
+
+
+@pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
+                         ids=["simulate", "region"])
 def test_failed_write_exit_2(tmp_path, capsys, command):
-    # the output path is an existing directory, so opening it for writing fails
+    # the directory exists but the file name passes the usual 255-byte limit,
+    # so opening it for writing fails after the work is done
     document = base_spec()
     document["experiment"]["trials"] = 2
     document["region"]["delta_grid"] = [0.5]
     spec_path = write_spec(tmp_path, document)
-    out = tmp_path / "taken"
-    out.mkdir()
+    out = tmp_path / ("x" * 300 + ".csv")
     assert command(spec_path, str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1

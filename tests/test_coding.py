@@ -770,6 +770,18 @@ class TestTrials:
         with pytest.raises(ValueError, match="report_target"):
             run_direct_trial(src, cfg, specs, 55, 4, report_target=wide)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("scheme", ["direct", "binned"])
+    def test_count_below_one_is_refused(self, scheme, count):
+        src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
+                           L=1, n=6)
+        if scheme == "direct":
+            cfg, build, run = direct_scheme(), direct_specs, run_direct_trial
+        else:
+            cfg, build, run = binned_scheme(), binned_specs, run_binned_trial
+        with pytest.raises(ValueError, match=f"trial count must be >= 1, got {count}$"):
+            run(src, cfg, build(cfg, src, 55), 55, 0, count)
+
     def test_binned_encoder_failure_emits_agent_0s_first_word(self, monkeypatch):
         cfg = binned_scheme(bins=1.5, words=1.0, epsilon=0.05)
         src = SourceConfig(p0=Pmf.uniform(2), obs_channel=CondPmf.binary_flip(0.2),
