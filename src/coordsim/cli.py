@@ -6,13 +6,13 @@
 
 Exit codes: 0 success, 1 failed verification or standard output closed
 early (a pipe's reader went away; files already written stay whole),
-2 spec/validation error, 3 decoder-limit abort.  An --out path that names
-a directory or whose directory does not exist, or a CSV that cannot be
-written, exits 2; the path is checked before any work starts.  CSV output
-is UTF-8 with LF line endings and a versioned header comment; every
-random quantity traces to seeds recorded in the spec, so a rerun with the
-same spec is byte-identical.  Wall-clock timings are left blank unless
---timings is passed, because measured times would break replay comparisons.
+2 spec/validation error, 3 decoder-limit abort.  An --out path that cannot
+be written exits 2 before any work starts (a file the check creates is
+removed again).  CSV output is UTF-8 with LF line endings and a versioned
+header comment; every random quantity traces to seeds recorded in the
+spec, so a rerun with the same spec is byte-identical.  Wall-clock timings
+are left blank unless --timings is passed, because measured times would
+break replay comparisons.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ def cmd_region(spec_path: str, out_path: str) -> int:
             _fmt(point.finite.rate),
             _fmt(point.per_agent.achieved_tv),
             "1" if point.per_agent.feasible else "0")))
-    if _write_lines(out_path, lines) != EXIT_OK:
-        return EXIT_SPEC
+    if (code := _write_lines(out_path, lines)) != EXIT_OK:
+        return code
 
     # CSV stays in nats; the console summary carries both units
     print(f"delta_min = {delta_min:.6g}")
@@ -194,11 +194,19 @@ def cmd_verify(only: list[str] | None = None) -> int:
 
 
 def _check_out_dir(path: str) -> None:
+    """Open --out for append, and remove the file again if that made it."""
     if os.path.isdir(path):
         raise SpecError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise SpecError(f"output directory {directory} does not exist")
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from None
+    if not existed:
+        os.remove(os.path.realpath(path))   # a dangling symlink keeps its link
 
 
 def _write_lines(path: str, lines: list[str]) -> int:

@@ -12,8 +12,8 @@ Two constructions share the machinery here:
     pair but transmits only the bin number, and the decoder searches for the
     unique word tuple (together with some action sequence) that makes the
     stacked length-nL pair jointly typical.  The decoder takes a block of
-    trials at once, and trials that place their column classes in the same
-    order share one dynamic program (see decode_binned).
+    trials at once, and the trials of one pool share one dynamic program
+    (see decode_binned).
 
 Codebooks are lazy: a codeword is a pure function of
 (seed, agent, bin, word, position), so arbitrarily large books cost nothing
@@ -559,9 +559,12 @@ def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> tuple[np.ndarra
     sequence only through how many positions of each column class (how many
     agents emit each output symbol there) receive each action, so a tuple
     is decided by its class histogram, and one dynamic program decides many
-    histograms at once (see _feasible_histograms).  The trials go in pools
+    histograms at once (see _feasible_histograms).  The program places the
+    column classes in one order for every trial, least likely first under
+    the design output law cfg.p_y (the method of types), so the most
+    likely class takes its closed-form last step.  The trials go in pools
     whose word-tuple tables hold at most _CHUNK_POSITIONS positions, at
-    least one trial each (see _decode_pool).
+    least one trial each, and each pool runs one program (see _decode_pool).
 
     Raises ValueError when a codebook's alphabet is not the design pair's
     output alphabet.  Raises DecoderBudgetExceeded, before allocating, when
@@ -592,12 +595,23 @@ def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> tuple[np.ndarra
         exc.trial_index = 0
         raise exc
 
+    # one class order for every trial: least likely first under the design
+    # output law, log P(c) = sum_b c_b log p_y(b) - log c_b! (up to log L!),
+    # ties in class order; the last move table numbers the classes that way
+    classes, moves = _class_tables(num_agents, sy)
+    log_factorial = np.log(np.maximum(np.arange(num_agents + 1), 1)).cumsum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_prob = np.where(classes > 0, classes * np.log(cfg.p_y.probs), 0.0).sum(axis=1)
+    order = np.argsort(log_prob - log_factorial[classes].sum(axis=1), kind="stable")
+    classes = classes[order]
+    moves = (*moves[:-1], np.argsort(order).astype(moves[-1].dtype)[moves[-1]])
+
     lo, hi = count_bounds(cfg.pair_src_out, n * num_agents, cfg.epsilon)
     pool = max(1, _CHUNK_POSITIONS // (num_tuples * n))
     pools = []
     for start in range(0, bins.shape[0], pool):
         try:
-            pools.append(_decode_pool(bins[start:start + pool], specs, lo, hi))
+            pools.append(_decode_pool(bins[start:start + pool], specs, classes, moves, lo, hi))
         except DecoderBudgetExceeded as exc:
             exc.trial_index += start
             raise
@@ -605,26 +619,26 @@ def decode_binned(bin_tuples, cfg: BinnedSchemeConfig, specs) -> tuple[np.ndarra
     return np.concatenate(matches), np.concatenate(ys)
 
 
-def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
+def _decode_pool(bins: np.ndarray, specs, classes: np.ndarray, moves, lo: np.ndarray,
                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """decode_binned on one pool of trials, bins[t] holding trial t's bin
-    numbers.
+    numbers, `classes` the column classes in the order the dynamic program
+    places them and `moves` the move tables that number them so.
 
     The pool reads each agent's words in one codeword_block call, gathers
     every (trial, word tuple, position)'s column class and counts every
-    (trial, word tuple)'s class histogram in one bincount.  A trial's
-    dynamic program places its present classes rarest first (by their
-    total over its distinct histograms, ties in class order), which keeps
-    the state count small and leaves the most common class to the
-    closed-form step; the trials that share that order share one program
-    over their distinct histograms.  If such a shared step would grow
-    more than DECODE_WORK_CAP states, the group's trials run their
-    programs one at a time, so each trial is refused exactly when, and
-    with the message that, its own program would be.
+    (trial, word tuple)'s class histogram in one bincount.  One dynamic
+    program decides the pool's distinct histograms, over the classes some
+    tuple of the pool holds, in that order.  If one of its steps would
+    grow more than DECODE_WORK_CAP states, each trial runs its own program
+    over its own classes, in the same order, and the first trial refused
+    is raised.  A class a trial lacks is a step that grows none of its
+    states, so every step of the shared program grows at least the states
+    of each trial's own step: a trial is refused exactly when, and with
+    the message that, its own program would be.
     """
     trials, agents = bins.shape
     n, words = specs[0].n, specs[0].words_per_bin
-    classes, moves = _class_tables(agents, lo.shape[1])
     sy = classes.shape[1]
 
     # the column class of every (trial, word tuple, position), one agent at
@@ -635,7 +649,7 @@ def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
     for move, book in zip(moves, books):
         column_class = move[column_class[:, :, None] * sy
                             + book[:, None].astype(move.dtype)].reshape(trials, -1, n)
-    # number the classes some tuple of the pool holds, in class order
+    # number the classes some tuple of the pool holds, in the program's order
     present = np.bincount(column_class.reshape(-1), minlength=len(classes)) > 0
     classes, width = classes[present], int(present.sum())
     rows = trials * column_class.shape[1]
@@ -645,47 +659,22 @@ def _decode_pool(bins: np.ndarray, specs, lo: np.ndarray,
     firsts, tuple_hist = _first_unique(hist.T, [n + 1] * width)
     hists = hist[firsts]
 
-    # every trial's distinct histograms, as (trial, histogram) pairs in trial order
-    row_trial = np.repeat(np.arange(trials), column_class.shape[1])
-    pairs, tuple_pair = np.unique(row_trial * len(firsts) + tuple_hist, return_inverse=True)
-    pair_trial, pair_hist = np.divmod(pairs, len(firsts))
-    starts = np.flatnonzero(np.diff(pair_trial, prepend=-1))
-    totals = np.add.reduceat(hists[pair_hist], starts, axis=0)
-    # absent classes sort first and are cut off
-    orders = np.argsort(np.where(totals > 0, totals, -1), axis=1, kind="stable")
-    groups: dict[tuple, list[int]] = {}
-    for t, (order, absent) in enumerate(zip(orders.tolist(), (totals == 0).sum(axis=1))):
-        groups.setdefault(tuple(order[absent:]), []).append(t)
-
-    feasible = np.zeros(pairs.size, dtype=bool)
-    refused = None
-    for order, members in groups.items():
-        order = list(order)
-        share = np.isin(pair_trial, members)
-        owners, owner_of = np.unique(pair_hist[share], return_inverse=True)
-        try:
-            feasible[share] = _feasible_histograms(hists[owners][:, order], classes[order],
-                                                   lo, hi)[owner_of]
-            continue
-        except DecoderBudgetExceeded:
-            pass
-        # past the bound: each trial runs its own program, which refuses it
-        # exactly when it would be refused decoded alone
-        for t in members:
-            if refused is not None and t > refused.trial_index:
-                break
-            own = pair_trial == t
+    try:
+        feasible = _feasible_histograms(hists, classes, lo, hi)
+    except DecoderBudgetExceeded:
+        # past the bound: each trial runs its own program over its own
+        # classes, which refuses it exactly when it would be refused alone
+        feasible = np.zeros(len(hists), dtype=bool)
+        for t, own in enumerate(tuple_hist.reshape(trials, -1)):
+            own = np.unique(own)
+            held = hists[own].any(axis=0)
             try:
-                feasible[own] = _feasible_histograms(hists[pair_hist[own]][:, order],
-                                                     classes[order], lo, hi)
+                feasible[own] = _feasible_histograms(hists[own][:, held], classes[held], lo, hi)
             except DecoderBudgetExceeded as exc:
                 exc.trial_index = t
-                refused = exc
-                break
-    if refused is not None:
-        raise refused
+                raise
 
-    match = feasible[tuple_pair].reshape(trials, -1)
+    match = feasible[tuple_hist].reshape(trials, -1)
     found = match.sum(axis=1)
     # a trial with one match emits agent 0's word of that tuple, else word 0
     chosen = np.where(found == 1, match.argmax(axis=1), 0)

@@ -374,17 +374,25 @@ def test_out_naming_a_directory_exit_2_before_any_work(tmp_path, capsys, no_work
 
 @pytest.mark.parametrize("command", [cli.cmd_simulate, cli.cmd_region],
                          ids=["simulate", "region"])
-def test_failed_write_exit_2(tmp_path, capsys, command):
+def test_failed_write_exit_2(tmp_path, capsys, no_work, command):
     # the directory exists but the file name passes the usual 255-byte limit,
-    # so opening it for writing fails after the work is done
-    document = base_spec()
-    document["experiment"]["trials"] = 2
-    document["region"]["delta_grid"] = [0.5]
-    spec_path = write_spec(tmp_path, document)
+    # so opening it fails before any work.  A read-only directory would fail
+    # the same way, but the tests may run as root, who writes anywhere
+    spec_path = write_spec(tmp_path, base_spec())
     out = tmp_path / ("x" * 300 + ".csv")
     assert command(spec_path, str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: File name too long\n"
+
+
+def test_out_check_leaves_no_new_file_and_an_existing_one_untouched(tmp_path):
+    fresh, kept, link = tmp_path / "fresh.csv", tmp_path / "kept.csv", tmp_path / "link.csv"
+    kept.write_bytes(b"earlier results\n")
+    link.symlink_to(tmp_path / "target.csv")
+    for path in (fresh, kept, link):
+        cli._check_out_dir(str(path))
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier results\n"
+    assert link.is_symlink() and not (tmp_path / "target.csv").exists()
 
 
 # one misspelled key per object of the spec: (path to the object, key as

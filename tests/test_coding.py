@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from coordsim import coding, rng
 from coordsim.coding import (CASES, BinnedSchemeConfig, CodebookSpec,
                              DecoderBudgetExceeded, DirectSchemeConfig,
-                             EncodeResult, ErrorCase, Trials, _bit_planes, _first_unique,
-                             _plane_counts, binned_specs, codeword_block,
-                             decode_binned, decode_direct,
+                             EncodeResult, ErrorCase, Trials, _bit_planes, _class_tables,
+                             _feasible_histograms, _first_unique, _plane_counts,
+                             binned_specs, codeword_block, decode_binned, decode_direct,
                              direct_specs, encode_binned, encode_direct,
                              run_binned_trial, run_direct_trial)
 from coordsim.probkit import (CondPmf, JointPmf, Pmf, compose_markov, joint_type,
@@ -510,6 +510,28 @@ class TestDecodeBinned:
                                              f"design pair's output alphabet has {design}"):
             decode_binned([[0, 1]], cfg, specs)
 
+    @pytest.mark.parametrize("p_y, placed", [
+        ((0.5, 0.5), [[0, 2], [2, 0], [1, 1]]),
+        ((0.9, 0.1), [[0, 2], [1, 1], [2, 0]]),
+        ((1.0, 0.0), [[2, 0]]),
+    ], ids=["uniform", "skewed", "point-mass"])
+    def test_most_likely_class_placed_last(self, monkeypatch, p_y, placed):
+        # two agents, binary output: the classes go least likely first under
+        # p_y, ties in class order, and the most likely one ends the program;
+        # an output symbol of probability 0 raises no log(0) warning
+        law = np.ones((2, 2, 1)) * np.array(p_y)
+        cfg, specs = _instance(law, 0.5, 16, 2, 3, 7)
+        seen = []
+        feasible = coding._feasible_histograms
+
+        def recording(hists, classes, lo, hi):
+            seen.append(classes.tolist())
+            return feasible(hists, classes, lo, hi)
+
+        monkeypatch.setattr(coding, "_feasible_histograms", recording)
+        decode_binned([[0, 1], [2, 0]], cfg, specs)
+        assert seen == [placed]
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(sx=st.integers(2, 3), sy=st.integers(2, 3), agents=st.integers(1, 3),
            words=st.integers(1, 3), n=st.integers(1, 9), trials=st.integers(1, 8),
@@ -542,6 +564,24 @@ class TestDecodeBinned:
         assert refused is None and matches.shape == (trials,)
         assert matches.tolist() == [int(m[0]) for m, _ in alone]
         assert ys.tobytes() == b"".join(y.tobytes() for _, y in alone)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), sx=st.integers(2, 3), sy=st.integers(2, 3), agents=st.integers(1, 3),
+       n=st.integers(1, 8), epsilon=st.floats(0.2, 3.0), seed=st.integers(0, 2**32))
+def test_feasible_histograms_ignore_the_class_order(data, sx, sy, agents, n, epsilon, seed):
+    # the program is exact, so the order it places the classes in changes
+    # its work, never a verdict
+    draws = np.random.default_rng(seed)
+    weights = draws.random((sx, sy)) + 0.02
+    pair = JointPmf(weights / weights.sum())
+    lo, hi = count_bounds(pair, n * agents, epsilon)
+    classes = _class_tables(agents, sy)[0]
+    hists = np.array([np.bincount(draws.integers(0, len(classes), n), minlength=len(classes))
+                      for _ in range(data.draw(st.integers(1, 12)))])
+    order = data.draw(st.permutations(range(len(classes))))
+    assert np.array_equal(_feasible_histograms(hists[:, order], classes[order], lo, hi),
+                          _feasible_histograms(hists, classes, lo, hi))
 
 
 def _instance(law, epsilon, n, agents, words, seed):

@@ -229,12 +229,12 @@ class TestRunExperiment:
         assert messages[0].startswith("trial 22 of 40: 3000^2 word tuples")
 
     def test_dynamic_program_refusal_inside_a_pool(self, monkeypatch):
-        # 4^2 word tuples of 10 positions pass a work bound of 162, but one
-        # step of trial 6's dynamic program grows 163 states.  In a single
-        # worker's run trial 6 is not the first trial of its decoder pool;
-        # either way the run aborts at trial 6 with that trial's own message
-        monkeypatch.setattr(coding, "DECODE_WORK_CAP", 162)
-        cfg = binned_config(n=10, trials=40, words=3.0)
+        # 3^2 word tuples of 14 positions pass a work bound of 224, but one
+        # step of trial 11's dynamic program grows 233 states.  In a single
+        # worker's run trial 11 is not the first trial of its decoder pool;
+        # either way the run aborts at trial 11 with that trial's own message
+        monkeypatch.setattr(coding, "DECODE_WORK_CAP", 224)
+        cfg = binned_config(n=14, trials=40, words=3.0)
         refused_at = []
         decode = coding.decode_binned
 
@@ -252,8 +252,8 @@ class TestRunExperiment:
                 run_experiment(cfg, workers=workers)
             messages.append(str(caught.value))
         assert refused_at and refused_at[0] > 0
-        assert messages == ["trial 6 of 40: a decoder step of 163 states exceeds the work "
-                            "bound 162; shrink n, L, or the codebook"] * 2
+        assert messages == ["trial 11 of 40: a decoder step of 233 states exceeds the work "
+                            "bound 224; shrink n, L, or the codebook"] * 2
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
